@@ -62,37 +62,22 @@ def _build_generator(args, field):
         for name in ("c", "m", "d"):
             if getattr(args, name) is None:
                 raise ConfigError(f"expander kind needs --{name}")
-        material = args.seed if args.seed is not None else fresh_seed()
-        gen = build_expander_generator(
+        proto = build_expander_generator(
             field, args.k, args.c, args.m, args.d,
-            inner_kind=args.inner, rng=spawn_rng(material, "graph"),
+            inner_kind=args.inner, rng=spawn_rng(args.graph_seed, "graph"),
         )
-        if args.seed is not None:
-            seed = seed_from_hex(field, args.seed)
-            if len(seed) != gen.descriptor.seed_len:
-                raise ConfigError(
-                    f"seed has {len(seed)} elements, need {gen.descriptor.seed_len}"
-                )
-            gen = gen.fork(seed)
-        elif not args.entropy:
-            raise ConfigError("provide --seed HEX or --entropy")
-        return gen, args.seed is None
-    if kind == "cascade":
+    elif kind == "cascade":
         for name in ("c", "d", "t"):
             if getattr(args, name) is None:
                 raise ConfigError(f"cascade kind needs --{name}")
-        material = args.seed if args.seed is not None else fresh_seed()
-        gen = build_cascade_generator(
+        proto = build_cascade_generator(
             field, args.k, args.c, args.d, args.t,
-            base_kind=args.inner, rng=spawn_rng(material, "graph"), m0=args.m,
+            base_kind=args.inner, rng=spawn_rng(args.graph_seed, "graph"), m0=args.m,
         )
-        if args.seed is not None:
-            seed = seed_from_hex(field, args.seed)
-            gen = gen.fork(seed)
-        elif not args.entropy:
-            raise ConfigError("provide --seed HEX or --entropy")
-        return gen, args.seed is None
-    raise ConfigError(f"unknown generator kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown generator kind {kind!r}")
+    seed, drew = _seed_elements(args, field, proto.descriptor.seed_len)
+    return proto.fork(seed), drew
 
 
 def _open_out(args):

@@ -1,6 +1,11 @@
 """Random unbalanced bipartite graphs, stacking, brute-force verification
 oracles, and the failure-probability bound calculators that size them.
 
+A graph is held as one padded (c*m, d) uint32 array, the same layout as its
+serialized form, so sampling, stacking, validation and (de)serialization are
+array operations and a generator sums rows by a column-wise gather.  Size
+guards fire before that array is allocated.
+
 All bound arithmetic runs in log10 space with log-gamma factorials: the
 interesting failure probabilities reach 1e-46, far below what direct floats
 survive.
@@ -11,9 +16,9 @@ from __future__ import annotations
 import math
 import random
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, repeat
 
 import numpy as np
 from scipy.special import gammaln
@@ -31,35 +36,108 @@ SUBSET_ENUM_BUDGET = 2_000_000
 # Graphs
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+_PAD = 0xFFFFFFFF
+
+# Largest c*m*d a graph may hold: 512 MiB of uint32 adjacency slots.
+MAX_GRAPH_ENTRIES = 1 << 27
+
+
+def check_graph_size(entries: int, what: str = "graph"):
+    """Raise GuardExceeded, naming the required scale, before a graph of
+    `entries` adjacency slots (c*m*d, summed over levels) is allocated."""
+    if entries > MAX_GRAPH_ENTRIES:
+        raise GuardExceeded(
+            f"{what} needs {entries} adjacency slots ({4 * entries / 2 ** 20:.0f} MiB "
+            f"as uint32); the cap is {MAX_GRAPH_ENTRIES}"
+        )
+
+
 class BipartiteGraph:
     """Left side c*m vertices, right side m vertices, out-degree <= d.
 
-    Adjacency lists are sorted and duplicate-free, so each list is exactly
-    the support of the corresponding F_2 matrix row.
+    The edges are one padded (c*m, d) uint32 array, the layout graphs have on
+    disk: row x holds the neighbors of left vertex x in increasing order,
+    then the pad index m in the slots deduplication left empty.  A right
+    table with a zero appended at index m therefore sums every row without
+    masking.  Each row without its pads is exactly the support of the
+    corresponding F_2 matrix row.
+
+    `edges` may also be given as c*m rows of neighbor indices (sorted and
+    duplicate-free); `adjacency` gives them back as int tuples.
     """
 
-    c: int
-    m: int
-    d: int
-    adjacency: tuple[tuple[int, ...], ...]
+    __slots__ = ("c", "m", "d", "edges")
 
-    def __post_init__(self):
-        if self.c < 1 or self.m < 1 or self.d < 1:
+    def __init__(self, c: int, m: int, d: int, edges):
+        if c < 1 or m < 1 or d < 1:
             raise ValueError("c, m, d must all be >= 1")
-        if len(self.adjacency) != self.c * self.m:
+        if m >= _PAD:
+            raise ValueError(f"right size m={m} does not fit the uint32 layout")
+        if not isinstance(edges, np.ndarray):
+            edges = _pack_rows(edges, m, d)
+        elif edges.dtype != np.uint32:
+            raise ValueError(f"edges must be a uint32 array, got {edges.dtype}")
+        if edges.shape != (c * m, d):
             raise ValueError("adjacency must list every left vertex")
-        for row in self.adjacency:
-            if not 1 <= len(row) <= self.d:
-                raise ValueError("adjacency rows must have 1..d entries")
-            if list(row) != sorted(set(row)):
-                raise ValueError("adjacency rows must be sorted and duplicate-free")
-            if row[-1] >= self.m:
-                raise ValueError("right index out of range")
+        if edges.max() > m:
+            raise ValueError("right index out of range")
+        if (edges[:, 0] == m).any():
+            raise ValueError("adjacency rows must have 1..d entries")
+        # entries never exceed the pad m, so an entry may equal or exceed its
+        # right neighbor only when that neighbor is a pad
+        a, b = edges[:, :-1], edges[:, 1:]
+        if not ((a < b) | (b == m)).all():
+            raise ValueError("adjacency rows must be sorted and duplicate-free")
+        edges = edges.view()
+        edges.flags.writeable = False
+        self.c, self.m, self.d, self.edges = c, m, d, edges
+
+    def __eq__(self, other):
+        if not isinstance(other, BipartiteGraph):
+            return NotImplemented
+        return ((self.c, self.m, self.d) == (other.c, other.m, other.d)
+                and np.array_equal(self.edges, other.edges))
+
+    def __repr__(self):
+        return f"BipartiteGraph(c={self.c}, m={self.m}, d={self.d})"
 
     @property
     def n_left(self) -> int:
         return self.c * self.m
+
+    @property
+    def adjacency(self) -> "_Rows":
+        """The rows as sorted int tuples, built from the array on access."""
+        return _Rows(self.edges, self.m)
+
+    def row_sums(self, field, values) -> np.ndarray:
+        """out[x] = field sum of values[y] over the neighbors y of left vertex x.
+
+        `values` are m canonical field elements.  One gather per adjacency
+        column from the values plus a zero at the pad index, so no (c*m, d)
+        temporary is held; the columns are reduced by XOR in characteristic
+        2, else by addition mod p: once when d*(p-1) < 2^64, else after
+        every addition.
+        """
+        table = np.empty(self.m + 1, dtype=np.uint64)
+        table[:-1] = values
+        table[-1] = 0
+        edges = self.edges
+        out = table[edges[:, 0]]
+        if field.char == 2:
+            for j in range(1, self.d):
+                out ^= table[edges[:, j]]
+            return out
+        p = np.uint64(field.p)
+        if self.d * (field.p - 1) < 1 << 64:
+            for j in range(1, self.d):
+                out += table[edges[:, j]]
+            out %= p
+            return out
+        for j in range(1, self.d):
+            out += table[edges[:, j]]
+            np.minimum(out, out - p, out=out)
+        return out
 
     def row_bitsets(self) -> list[int]:
         """Rows of the F_2 adjacency matrix as ints (bit y = edge to y)."""
@@ -72,15 +150,68 @@ class BipartiteGraph:
         return out
 
 
+def _pack_rows(rows, m: int, d: int) -> np.ndarray:
+    rows = list(rows)
+    edges = np.full((len(rows), d), m, dtype=np.uint32)
+    for x, row in enumerate(rows):
+        if not 1 <= len(row) <= d:
+            raise ValueError("adjacency rows must have 1..d entries")
+        if min(row) < 0 or max(row) >= m:
+            raise ValueError("right index out of range")
+        edges[x, :len(row)] = row
+    return edges
+
+
+def _strip(row: list[int], m: int) -> tuple[int, ...]:
+    return tuple(row[:row.index(m)] if row[-1] == m else row)
+
+
+class _Rows(Sequence):
+    """Read-only view of a graph's rows as int tuples without the pads."""
+
+    __slots__ = ("_edges", "_m")
+    _CHUNK = 4096
+
+    def __init__(self, edges: np.ndarray, m: int):
+        self._edges = edges
+        self._m = m
+
+    def __len__(self):
+        return len(self._edges)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(_strip(row, self._m) for row in self._edges[i].tolist())
+        return _strip(self._edges[i].tolist(), self._m)
+
+    def __iter__(self):
+        m = self._m
+        for start in range(0, len(self._edges), self._CHUNK):
+            for row in self._edges[start:start + self._CHUNK].tolist():
+                yield _strip(row, m)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or len(other) != len(self):
+            return False
+        return all(a == b for a, b in zip(self, other))
+
+
 def sample_graph(c: int, m: int, d: int, rng: random.Random) -> BipartiteGraph:
-    """For each left vertex independently: d uniform draws from [m], deduplicated."""
+    """For each left vertex independently: d uniform draws from [m], deduplicated.
+
+    The draws go straight into the padded array, row after row, in the order
+    the row-tuple sampler made them, so a seeded rng gives the same graph.
+    """
     if c < 1 or m < 1 or d < 1:
         raise ValueError("c, m, d must all be >= 1")
-    adjacency = tuple(
-        tuple(sorted({rng.randrange(m) for _ in range(d)}))
-        for _ in range(c * m)
-    )
-    return BipartiteGraph(c, m, d, adjacency)
+    n = c * m * d
+    check_graph_size(n)
+    edges = np.fromiter(map(rng.randrange, repeat(m, n)), np.uint32, n).reshape(c * m, d)
+    edges.sort(axis=1)
+    dup = edges[:, 1:] == edges[:, :-1]
+    edges[:, 1:][dup] = m
+    edges.sort(axis=1)
+    return BipartiteGraph(c, m, d, edges)
 
 
 def stack(g: BipartiteGraph, b: int) -> BipartiteGraph:
@@ -93,12 +224,10 @@ def stack(g: BipartiteGraph, b: int) -> BipartiteGraph:
         raise ValueError("b must be >= 1")
     if b == 1:
         return g
-    rows = []
-    for t in range(b):
-        off = t * g.m
-        for row in g.adjacency:
-            rows.append(tuple(y + off for y in row))
-    return BipartiteGraph(g.c, b * g.m, g.d, tuple(rows))
+    check_graph_size(b * g.c * g.m * g.d, "stacked graph")
+    offsets = np.arange(b, dtype=np.uint32)[:, None, None] * np.uint32(g.m)
+    edges = np.where(g.edges == g.m, np.uint32(b * g.m), g.edges + offsets)
+    return BipartiteGraph(g.c, b * g.m, g.d, edges.reshape(-1, g.d))
 
 
 # --------------------------------------------------------------------------
@@ -384,25 +513,15 @@ def search_parameters(
 # Serialization
 # --------------------------------------------------------------------------
 
-_PAD = 0xFFFFFFFF
-
-
 def graph_to_bytes(g: BipartiteGraph) -> bytes:
     """Header (c, m, d) as little-endian u32, then c*m*d little-endian u32
     neighbor indices, 0xFFFFFFFF padding the deduplicated slots."""
-    out = [struct.pack("<III", g.c, g.m, g.d)]
-    for row in g.adjacency:
-        padded = list(row) + [_PAD] * (g.d - len(row))
-        out.append(struct.pack(f"<{g.d}I", *padded))
-    return b"".join(out)
+    body = np.where(g.edges == g.m, np.uint32(_PAD), g.edges).astype("<u4", copy=False)
+    return struct.pack("<III", g.c, g.m, g.d) + body.tobytes()
 
 
 def graph_from_bytes(data: bytes) -> BipartiteGraph:
     c, m, d = struct.unpack_from("<III", data, 0)
-    rows = []
-    off = 12
-    for _ in range(c * m):
-        entries = struct.unpack_from(f"<{d}I", data, off)
-        off += 4 * d
-        rows.append(tuple(y for y in entries if y != _PAD))
-    return BipartiteGraph(c, m, d, tuple(rows))
+    raw = np.frombuffer(data, dtype="<u4", count=c * m * d, offset=12).reshape(c * m, d)
+    edges = np.where(raw == _PAD, np.uint32(m), raw).astype(np.uint32, copy=False)
+    return BipartiteGraph(c, m, d, edges)

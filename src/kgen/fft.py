@@ -5,12 +5,16 @@ Two engines:
 * an additive FFT over GF(2^w) that evaluates on an affine F_2-subspace
   (Taylor expansion at x^2 - x, two half-size transforms per level), and
 * a multiplicative-coset DFT over GF(p) that walks the cosets
-  omega^j * <omega_k>, which partition F_p^* exactly.
+  omega^j * <omega_k>, which partition F_p^* exactly.  For p < 2^32 a numpy
+  transform evaluates a whole coset at once; the scalar radix-2 DFT is its
+  oracle and the path for larger p.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from .errors import PeriodExhausted
 from .field import FieldError, Gf2w, Gfp
@@ -202,6 +206,7 @@ class CosetDftPlan:
             tw[i] = field.mul(tw[i - 1], omega_k)
         self._twiddles = tw
         self._rev = _bit_reversal(k)
+        self._vec_twiddles: tuple[np.ndarray, np.ndarray] | None = None
 
     def coset_points(self) -> list[int]:
         """The points omega^j * omega_k^r of the current coset, r = 0..k-1."""
@@ -247,6 +252,67 @@ class CosetDftPlan:
     def evaluate_coset(self, coeffs: Sequence[int]) -> list[int]:
         """Evaluate h on the current coset: DFT of the twisted coefficients."""
         return self.dft(self.twist_coefficients(coeffs))
+
+    def evaluate_coset_vec(self, coeffs: np.ndarray) -> np.ndarray:
+        """evaluate_coset on a uint64 array of canonical coefficients, for
+        p < 2^32; bit-identical to the scalar path.
+
+        The twist powers omega^(j*i) are built by doubling.  The transform
+        is radix-2 decimation in time in the self-sorting (Stockham) order,
+        so no bit reversal is needed: the array is viewed as (R, C) with the
+        length-R DFTs of the C interleaved subsequences in its columns, and
+        each stage merges column c with column c + C/2.  Stages run on that
+        view while rows are the long axis, then on its transpose.  Products
+        of two residues stay below 2^64; twiddle products are reduced with
+        a precomputed quotient (Shoup), sums by a conditional subtraction.
+        """
+        p = self.field.p
+        if p >= 1 << 32:
+            raise FieldError("the vector coset DFT needs p < 2^32")
+        k = self.k
+        if coeffs.shape != (k,):
+            raise FieldError("coefficient count must equal the transform length")
+        if self._vec_twiddles is None:
+            tw = np.array(self._twiddles, dtype=np.uint64)
+            self._vec_twiddles = (tw, (tw << np.uint64(32)) // np.uint64(p))
+        tw, tw_q = self._vec_twiddles
+        P = np.uint64(p)
+        twist = np.empty(k, dtype=np.uint64)
+        twist[0] = 1
+        n, step = 1, self.twist_base
+        while n < k:
+            np.multiply(twist[:n], np.uint64(step), out=twist[n:2 * n])
+            twist[n:2 * n] %= P
+            n, step = 2 * n, step * step % p
+        a = coeffs * twist
+        a %= P
+
+        def butterflies(even, odd, f, f_q, lo, hi):
+            t = odd * f
+            t -= ((odd * f_q) >> np.uint64(32)) * P
+            np.minimum(t, t - P, out=t)
+            np.add(even, t, out=lo)
+            np.minimum(lo, lo - P, out=lo)
+            np.subtract(even + P, t, out=hi)
+            np.minimum(hi, hi - P, out=hi)
+
+        rows, cols = 1, k
+        x = a.reshape(1, k)
+        while rows < cols // 2:
+            half = cols // 2
+            f, f_q = tw[::k // (2 * rows)], tw_q[::k // (2 * rows)]
+            out = np.empty((2 * rows, half), dtype=np.uint64)
+            butterflies(x[:, :half], x[:, half:], f[:, None], f_q[:, None],
+                        out[:rows], out[rows:])
+            x, rows, cols = out, 2 * rows, half
+        y = np.ascontiguousarray(x.T)
+        while cols > 1:
+            half = cols // 2
+            f, f_q = tw[::k // (2 * rows)], tw_q[::k // (2 * rows)]
+            out = np.empty((half, 2 * rows), dtype=np.uint64)
+            butterflies(y[:half], y[half:], f, f_q, out[:, :rows], out[:, rows:])
+            y, rows, cols = out, 2 * rows, half
+        return y.reshape(k)
 
     def advance_coset(self):
         """Move to the next coset with a single multiplication."""

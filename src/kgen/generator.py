@@ -14,17 +14,25 @@ Four kinds:
 
 The horner and fft-batch kinds are exact (failure probability zero); the
 sampled kinds declare the union-bound failure probability of their graphs.
+
+The sampled kinds compute one whole block of c*m outputs per refill as
+arrays: `BipartiteGraph.row_sums` gathers the right table column by column
+and reduces by XOR over GF(2^w) or modular addition over GF(p).  `fill(n)` hands out uint64 array slices of that block; `emit` and
+`emit_batch` read from it as Python ints.  `write_stream` serializes whole
+chunks with one `tobytes` each.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, PeriodExhausted
 from .expander import (
     BipartiteGraph,
+    check_graph_size,
     rank_failure_bound,
     sample_graph,
 )
@@ -78,6 +86,10 @@ class HornerGenerator:
     def fork(self, seed) -> "HornerGenerator":
         return HornerGenerator(self.field, self.descriptor.k, seed)
 
+    @property
+    def remaining(self) -> int:
+        return self.descriptor.period - self._pos
+
     def emit(self) -> int:
         if self._pos >= self.descriptor.period:
             raise PeriodExhausted(f"period {self.descriptor.period} consumed")
@@ -128,6 +140,7 @@ class FftBatchGenerator:
             if omega is None:
                 omega = find_primitive_element(field)
             self._plan = CosetDftPlan(field, k, omega)
+            self._coeffs_vec = np.array(self.seed, dtype=np.uint64) if field.p < 1 << 32 else None
             self.batch_size = k
             self._num_batches = self._plan.num_cosets
             self._next_batch = 0
@@ -142,6 +155,10 @@ class FftBatchGenerator:
         omega = self._plan.omega if self._mode == "coset" else None
         return FftBatchGenerator(self.field, self.descriptor.k, seed, omega)
 
+    @property
+    def remaining(self) -> int:
+        return self.descriptor.period - self._emitted
+
     def _refill(self):
         j = self._next_batch
         if j >= self._num_batches:
@@ -152,7 +169,10 @@ class FftBatchGenerator:
         else:
             if j > 0:
                 self._plan.advance_coset()
-            self._buffer = self._plan.evaluate_coset(self.h.coeffs)
+            if self._coeffs_vec is not None:
+                self._buffer = self._plan.evaluate_coset_vec(self._coeffs_vec).tolist()
+            else:
+                self._buffer = self._plan.evaluate_coset(self.h.coeffs)
         self._buf_pos = 0
         self._next_batch = j + 1
 
@@ -204,13 +224,57 @@ def required_independence(needed: int, inner_period: int) -> int:
     return min(needed, inner_period)
 
 
-class ExpanderGenerator:
+class _BlockStream:
+    """Cursor over blocks of `_block_size` values that `_next_block()`
+    computes as uint64 arrays; the period check lives here once."""
+
+    def _start(self):
+        self._block: np.ndarray | None = None
+        self._cursor = 0  # position within the current block
+        self._emitted = 0
+
+    @property
+    def remaining(self) -> int:
+        return self.descriptor.period - self._emitted
+
+    def _advance(self):
+        block = self._next_block()
+        block.flags.writeable = False
+        self._block = block
+        self._cursor = 0
+
+    def fill(self, count: int) -> np.ndarray:
+        """The next `count` values as a uint64 array (read-only when it lies
+        within one block)."""
+        if count > self.remaining:
+            raise PeriodExhausted(f"{count} values requested, {self.remaining} remain")
+        parts = []
+        while count > 0:
+            if self._block is None or self._cursor >= self._block_size:
+                self._advance()
+            take = min(count, self._block_size - self._cursor)
+            parts.append(self._block[self._cursor:self._cursor + take])
+            self._cursor += take
+            self._emitted += take
+            count -= take
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+
+    def emit(self) -> int:
+        return int(self.fill(1)[0])
+
+    def emit_batch(self, count: int) -> list[int]:
+        return self.fill(count).tolist()
+
+
+class ExpanderGenerator(_BlockStream):
     """Graph-composed generator: output x is the field sum of the right-table
     entries adjacent to left vertex x.
 
-    The right table holds m consecutive inner outputs; after c*m emits the
-    table is refilled from the inner stream, which walks the blocks of the
-    (virtually) stacked graph until the inner period is exhausted.
+    The right table holds m consecutive inner outputs; each block of c*m
+    outputs is one gather over a refilled table, and the inner stream walks
+    the blocks of the (virtually) stacked graph until its period runs out.
     """
 
     def __init__(self, field, k: int, graph: BipartiteGraph, inner, delta: float):
@@ -235,9 +299,7 @@ class ExpanderGenerator:
         )
         self.seed = inner.seed
         self._block_size = graph.c * graph.m
-        self._table: list[int] | None = None
-        self._cursor = 0  # position within the current block
-        self._emitted = 0
+        self._start()
 
     def fork(self, seed) -> "ExpanderGenerator":
         return ExpanderGenerator(
@@ -245,30 +307,11 @@ class ExpanderGenerator:
             self.inner.fork(seed), self.descriptor.delta,
         )
 
-    def emit(self) -> int:
-        if self._emitted >= self.descriptor.period:
-            raise PeriodExhausted(f"period {self.descriptor.period} consumed")
-        if self._table is None or self._cursor >= self._block_size:
-            self._table = self.inner.emit_batch(self.graph.m)
-            self._cursor = 0
-        table = self._table
-        add = self.field.add
-        acc = 0
-        for y in self.graph.adjacency[self._cursor]:
-            acc = add(acc, table[y])
-        self._cursor += 1
-        self._emitted += 1
-        return acc
-
-    def emit_batch(self, count: int) -> list[int]:
-        if count > self.descriptor.period - self._emitted:
-            raise PeriodExhausted(
-                f"{count} values requested, {self.descriptor.period - self._emitted} remain"
-            )
-        return [self.emit() for _ in range(count)]
+    def _next_block(self) -> np.ndarray:
+        return self.graph.row_sums(self.field, self.inner.emit_batch(self.graph.m))
 
 
-class CascadeGenerator:
+class CascadeGenerator(_BlockStream):
     """Chained expander levels g_i(x) = sum of g_{i-1} over the neighbors of
     x in level graph i; the base stream feeds level 0 in chunks of m0."""
 
@@ -304,9 +347,7 @@ class CascadeGenerator:
         )
         self.seed = base.seed
         self._m0 = m0
-        self._table: list[int] | None = None
-        self._cursor = 0
-        self._emitted = 0
+        self._start()
 
     def fork(self, seed) -> "CascadeGenerator":
         return CascadeGenerator(
@@ -314,36 +355,11 @@ class CascadeGenerator:
             self.base.fork(seed), self.descriptor.delta,
         )
 
-    def _refill(self):
-        add = self.field.add
-        table = self.base.emit_batch(self._m0)
+    def _next_block(self) -> np.ndarray:
+        values = self.base.emit_batch(self._m0)
         for g in self.graphs:
-            nxt = []
-            for row in g.adjacency:
-                acc = 0
-                for y in row:
-                    acc = add(acc, table[y])
-                nxt.append(acc)
-            table = nxt
-        self._table = table
-        self._cursor = 0
-
-    def emit(self) -> int:
-        if self._emitted >= self.descriptor.period:
-            raise PeriodExhausted(f"period {self.descriptor.period} consumed")
-        if self._table is None or self._cursor >= self._block_size:
-            self._refill()
-        v = self._table[self._cursor]
-        self._cursor += 1
-        self._emitted += 1
-        return v
-
-    def emit_batch(self, count: int) -> list[int]:
-        if count > self.descriptor.period - self._emitted:
-            raise PeriodExhausted(
-                f"{count} values requested, {self.descriptor.period - self._emitted} remain"
-            )
-        return [self.emit() for _ in range(count)]
+            values = g.row_sums(self.field, values)
+        return values
 
 
 # --------------------------------------------------------------------------
@@ -431,6 +447,8 @@ def build_cascade_generator(
     )
     if m0 is None:
         m0 = base_period
+    if graphs is None:
+        check_graph_size(sum(c ** i * m0 * d for i in range(1, t + 1)), "cascade")
     need = required_independence(d ** t * k, base_period)
     base = _make_inner(field, base_kind, need, rng, seed)
     if t == 0:
@@ -493,19 +511,37 @@ def seed_from_hex(field, text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Values per fill/emit_batch call and per write in write_stream.
+_WRITE_CHUNK = 1 << 16
+
+
+def _words_to_bytes(values: np.ndarray, elem_bytes: int) -> bytes:
+    """Little-endian fixed-width words of `elem_bytes` bytes each."""
+    if elem_bytes in (1, 2, 4, 8):
+        return values.astype(f"<u{elem_bytes}", copy=False).tobytes()
+    wide = values.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return wide[:, :elem_bytes].tobytes()
+
+
 def write_stream(gen, fh, count: int, header: bool = False):
     """Raw little-endian fixed-width words, optionally preceded by a text
     descriptor line.  Returns the number of values written (short only if
-    the period runs out mid-stream)."""
+    the period runs out mid-stream).
+
+    Values are taken from `gen.fill` when it has one, else from
+    `gen.emit_batch`, and written one chunk at a time; `gen.remaining`, when
+    present, caps the count.
+    """
     field = gen.field
     if header:
         line = gen.descriptor.header_line() + f" seed={seed_to_hex(field, gen.seed)}\n"
         fh.write(line.encode())
+    count = max(0, min(count, getattr(gen, "remaining", count)))
+    fill = getattr(gen, "fill", None)
     written = 0
-    try:
-        for _ in range(count):
-            fh.write(field.to_bytes(gen.emit()))
-            written += 1
-    except PeriodExhausted:
-        pass
+    while written < count:
+        n = min(_WRITE_CHUNK, count - written)
+        values = fill(n) if fill is not None else np.array(gen.emit_batch(n), dtype=np.uint64)
+        fh.write(_words_to_bytes(values, field.elem_bytes))
+        written += n
     return written

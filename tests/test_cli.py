@@ -1,3 +1,5 @@
+import io
+import random
 import subprocess
 import sys
 
@@ -118,6 +120,36 @@ def test_gen_expander_kind(capsys):
          "--entropy", "--count", "8"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 8
+
+
+@pytest.mark.parametrize("kind", ["expander", "cascade"])
+def test_gen_graph_comes_from_graph_seed(tmp_path, capsys, kind):
+    # gen must emit the graph verify certifies: spawn_rng(--graph-seed, "graph")
+    from kgen.entropy import spawn_rng
+    from kgen.field import Gfp
+    from kgen.generator import (build_cascade_generator, build_expander_generator,
+                                seed_to_hex, write_stream)
+
+    f = Gfp(257)
+    if kind == "expander":
+        shape = ["--c", "2", "--m", "16", "--d", "2"]
+        proto = build_expander_generator(f, 2, 2, 16, 2, inner_kind="fft-batch",
+                                         rng=spawn_rng(7, "graph"))
+    else:
+        shape = ["--c", "2", "--m", "16", "--d", "2", "--t", "2"]
+        proto = build_cascade_generator(f, 2, 2, 2, 2, base_kind="fft-batch",
+                                        rng=spawn_rng(7, "graph"), m0=16)
+    rng = random.Random(5)
+    seed = [f.random_element(rng) for _ in range(proto.descriptor.seed_len)]
+    want = io.BytesIO()
+    write_stream(proto.fork(seed), want, 64)
+    out_file = tmp_path / "stream.bin"
+    code, _, _ = run_cli(
+        ["gen", "--field", "gfp:257", "--kind", kind, "--k", "2", *shape,
+         "--inner", "fft-batch", "--graph-seed", "7", "--seed", seed_to_hex(f, seed),
+         "--count", "64", "--format", "bin", "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out_file.read_bytes() == want.getvalue()
 
 
 def test_gen_period_exhaustion_reported(capsys):

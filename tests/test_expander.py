@@ -2,10 +2,12 @@ import math
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from kgen.errors import GuardExceeded
 from kgen.expander import (
+    MAX_GRAPH_ENTRIES,
     BipartiteGraph,
     TimeModel,
     all_small_row_subsets_independent,
@@ -88,6 +90,47 @@ def test_sample_graph_neighbor_uniformity():
         assert abs(c - expected) <= 3.5 * sigma
 
 
+def tuple_sampler(c, m, d, rng):
+    """The row-tuple sampler the array sampler replaced: d draws per row."""
+    return tuple(tuple(sorted({rng.randrange(m) for _ in range(d)}))
+                 for _ in range(c * m))
+
+
+def test_sample_graph_makes_the_tuple_samplers_draws():
+    for c, m, d in ((1, 1, 3), (2, 8, 3), (4, 64, 4), (3, 5, 8), (2, 300, 1)):
+        g = sample_graph(c, m, d, random.Random(c * m * d))
+        rows = tuple_sampler(c, m, d, random.Random(c * m * d))
+        assert g.adjacency == rows
+        assert tuple(g.adjacency) == rows
+        assert g.adjacency[len(rows) - 1] == rows[-1]
+        assert g == BipartiteGraph(c, m, d, rows)
+
+
+def test_graph_array_layout():
+    g = BipartiteGraph(1, 3, 3, ((0, 2), (1,), (0, 1, 2)))
+    assert g.edges.dtype == np.uint32
+    assert g.edges.tolist() == [[0, 2, 3], [1, 3, 3], [0, 1, 2]]  # pad index m = 3
+    assert not g.edges.flags.writeable
+    assert g.adjacency[0:2] == ((0, 2), (1,))
+    assert BipartiteGraph(1, 3, 3, g.edges.copy()) == g
+    with pytest.raises(ValueError):
+        BipartiteGraph(1, 3, 3, g.edges.astype(np.int64))
+    with pytest.raises(ValueError):  # empty row
+        BipartiteGraph(1, 3, 3, np.array([[3, 3, 3], [1, 3, 3], [0, 1, 2]], np.uint32))
+    with pytest.raises(ValueError):  # pad mid-row
+        BipartiteGraph(1, 3, 3, np.array([[0, 3, 2], [1, 3, 3], [0, 1, 2]], np.uint32))
+    with pytest.raises(ValueError):  # index beyond the pad
+        BipartiteGraph(1, 3, 3, np.array([[0, 4, 4], [1, 3, 3], [0, 1, 2]], np.uint32))
+
+
+def test_graph_size_guards():
+    with pytest.raises(GuardExceeded, match=str(MAX_GRAPH_ENTRIES + 1)):
+        sample_graph(1, MAX_GRAPH_ENTRIES + 1, 1, random.Random(0))
+    g = sample_graph(1, 1 << 10, 2, random.Random(0))
+    with pytest.raises(GuardExceeded):
+        stack(g, MAX_GRAPH_ENTRIES // (1 << 11) + 1)
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         BipartiteGraph(1, 2, 1, ((0,),))  # missing rows
@@ -103,6 +146,11 @@ def test_stack_examples():
     assert st2.adjacency == ((0,), (1,))
     g = sample_graph(2, 3, 2, random.Random(1))
     assert stack(g, 1) is g
+    # a deduplicated row keeps its pads at the stacked graph's pad index
+    short = BipartiteGraph(1, 2, 2, ((1,), (0, 1)))
+    st = stack(short, 2)
+    assert st.adjacency == ((1,), (0, 1), (3,), (2, 3))
+    assert st.edges.tolist() == [[1, 4], [0, 1], [3, 4], [2, 3]]
 
 
 def test_stack_preserves_both_properties():
@@ -363,3 +411,5 @@ def test_graph_bytes_layout():
     assert raw[:12] == (1).to_bytes(4, "little") + (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
     assert raw[12:16] == (0).to_bytes(4, "little")
     assert raw[16:20] == b"\xff\xff\xff\xff"  # padding for deduplicated slot
+    assert len(raw) == 12 + 4 * 2 * 3
+    assert graph_from_bytes(raw) == g

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from kgen.errors import PeriodExhausted
@@ -190,3 +191,40 @@ def test_coset_dft_rejections():
     sq = f.mul(omega, omega)
     with pytest.raises(FieldError):
         CosetDftPlan(f, 256, sq)
+
+
+# -- vector coset DFT (p < 2^32) against the scalar plan and naive evaluation --
+
+# 4293918721 = 4095 * 2^20 + 1, a prime just below 2^32
+@pytest.mark.parametrize("p", [257, 2013265921, 4293918721])
+def test_coset_dft_vec_matches_scalar_and_naive(p):
+    f = Gfp(p)
+    omega = find_primitive_element(f)
+    rng = random.Random(p)
+    k = 1
+    while k <= 1024 and (p - 1) % k == 0:
+        h = random_polynomial(f, k, rng)
+        coeffs = np.array(h.coeffs, dtype=np.uint64)
+        plan = CosetDftPlan(f, k, omega)
+        last = plan.num_cosets - 1
+        for j in sorted({0, 1, last}):
+            # jump the coset cursor straight to coset j
+            plan.j, plan.twist_base = j, f.pow(omega, j)
+            got = plan.evaluate_coset_vec(coeffs).tolist()
+            assert got == plan.evaluate_coset(h.coeffs), (p, k, j)
+            points = plan.coset_points()
+            sample = range(k) if k <= 64 else sorted(rng.sample(range(k), 32))
+            assert [got[r] for r in sample] == naive_multipoint(h, [points[r] for r in sample])
+        k *= 2
+    assert k > 256
+
+
+def test_coset_dft_vec_rejections():
+    big = Gfp(9223372036853661697)  # 0x7fffffffffef0001, above 2^32
+    plan = CosetDftPlan(big, 4, find_primitive_element(big))
+    with pytest.raises(FieldError):
+        plan.evaluate_coset_vec(np.zeros(4, dtype=np.uint64))
+    f = Gfp(257)
+    plan = CosetDftPlan(f, 16, find_primitive_element(f))
+    with pytest.raises(FieldError):
+        plan.evaluate_coset_vec(np.zeros(8, dtype=np.uint64))

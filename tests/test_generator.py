@@ -1,14 +1,15 @@
 import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgen.errors import ConfigError, PeriodExhausted
+from kgen.errors import ConfigError, GuardExceeded, PeriodExhausted
 from kgen.expander import BipartiteGraph, sample_graph
 from kgen.fft import CosetDftPlan
-from kgen.field import Gf2w, Gfp
+from kgen.field import Gf2w, Gfp, parse_field_spec
 from kgen.generator import (
     FftBatchGenerator,
     GeneratorDescriptor,
@@ -357,3 +358,102 @@ def test_write_stream_short_on_exhaustion():
     g = HornerGenerator(f, 2, [1, 2])
     buf = io.BytesIO()
     assert write_stream(g, buf, 10) == 5
+    # the same short count from every kind, and the bytes emit_batch gives
+    for make in _SMALL_KINDS.values():
+        gen = make()
+        period = gen.descriptor.period
+        buf = io.BytesIO()
+        assert write_stream(make(), buf, period + 7) == period
+        assert buf.getvalue() == b"".join(gen.field.to_bytes(v) for v in gen.emit_batch(period))
+
+
+def _small_expander(field, k=2, c=2, m=8, d=3, inner="horner", seed=0):
+    return build_expander_generator(field, k, c, m, d, inner_kind=inner,
+                                    rng=random.Random(seed))
+
+
+# small generators of every kind, each with a period of a few hundred values
+_SMALL_KINDS = {
+    "horner": lambda: HornerGenerator(Gf2w(8), 3, [5, 0, 7]),
+    "fft-batch": lambda: FftBatchGenerator(Gfp(257), 16, list(range(16))),
+    "expander": lambda: _small_expander(Gf2w(8), m=16),
+    "cascade": lambda: build_cascade_generator(Gfp(257), 2, 2, 2, 2, base_kind="fft-batch",
+                                               rng=random.Random(3), m0=16),
+}
+
+# gf2w:24 has 3-byte words; 0x7fffffffffef0001 is a prime above 2^62, so a
+# sum of d=4 residues overflows 64 bits and is reduced after every addition
+_GATHER_FIELDS = ["gf2w:16", "gf2w:24", "gfp:2013265921", "gfp:9223372036853661697"]
+
+
+@pytest.mark.parametrize("spec", _GATHER_FIELDS)
+def test_expander_block_gather_matches_row_sums(spec):
+    f = parse_field_spec(spec)
+    gen = build_expander_generator(f, 4, 4, 64, 4, inner_kind="fft-batch",
+                                   rng=random.Random(21))
+    c, m = gen.graph.c, gen.graph.m
+    table = gen.inner.fork(gen.seed).emit_batch(2 * m)
+    stream = gen.emit_batch(2 * c * m)
+    for block in range(2):
+        right = table[block * m:(block + 1) * m]
+        for x, row in enumerate(gen.graph.adjacency):
+            acc = 0
+            for y in row:
+                acc = f.add(acc, right[y])
+            assert stream[block * c * m + x] == acc
+
+
+def test_gfp_row_sums_at_the_top_of_the_range():
+    for p in (2013265921, 9223372036853661697):
+        f = Gfp(p)
+        g = BipartiteGraph(2, 4, 4, ((0, 1, 2, 3), (3,), (1, 2), (0, 1, 2), (2,),
+                                     (0, 3), (1, 2, 3), (0,)))
+        values = [p - 1, p - 2, p - 3, p - 4]
+        want = []
+        for row in g.adjacency:
+            acc = 0
+            for y in row:
+                acc = f.add(acc, values[y])
+            want.append(acc)
+        assert g.row_sums(f, values).tolist() == want
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_KINDS))
+def test_write_stream_bytes_equal_emit_batch(kind):
+    gen = _SMALL_KINDS[kind]()
+    n = min(gen.descriptor.period, 300)
+    want = b"".join(gen.field.to_bytes(v) for v in gen.emit_batch(n))
+    buf = io.BytesIO()
+    twin = _SMALL_KINDS[kind]()
+    assert write_stream(twin, buf, 100) + write_stream(twin, buf, n - 100) == n
+    assert buf.getvalue() == want
+
+
+def test_write_stream_three_byte_words():
+    f = Gf2w(24)
+    gen = _small_expander(f, m=16, inner="fft-batch")
+    want = b"".join(f.to_bytes(v) for v in gen.emit_batch(96))
+    buf = io.BytesIO()
+    assert write_stream(_small_expander(f, m=16, inner="fft-batch"), buf, 96) == 96
+    assert buf.getvalue() == want
+
+
+def test_fill_matches_emit_and_is_read_only():
+    a, b = (_small_expander(Gfp(257), m=16, inner="fft-batch") for _ in range(2))
+    block = a.fill(20)
+    assert block.dtype == np.uint64 and not block.flags.writeable
+    spanning = a.fill(30)  # crosses into the second block
+    assert block.tolist() + spanning.tolist() == [b.emit() for _ in range(50)]
+    assert a.remaining == b.remaining == a.descriptor.period - 50
+    with pytest.raises(PeriodExhausted):
+        a.fill(a.remaining + 1)
+
+
+def test_graph_size_guards_fire_before_allocation():
+    from kgen.expander import MAX_GRAPH_ENTRIES
+
+    # the default m0 is the base period: 2^31 - 2^27 rows per level here
+    with pytest.raises(GuardExceeded, match="adjacency slots"):
+        build_cascade_generator(Gfp(2013265921), 2, 2, 2, 1, base_kind="fft-batch")
+    with pytest.raises(GuardExceeded):
+        sample_graph(2, MAX_GRAPH_ENTRIES // 4 + 1, 2, random.Random(0))
