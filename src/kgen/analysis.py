@@ -9,8 +9,6 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 
-from scipy.stats import chi2
-
 from .errors import GuardExceeded
 
 ENUM_GUARD = 10_000_000
@@ -165,6 +163,8 @@ def chi_square_screen(
         expected = trials * p
         if expected > 0:
             stat += (c - expected) ** 2 / expected
+    from scipy.stats import chi2  # imported here: it costs most of kgen's start-up
+
     threshold = float(chi2.ppf(1.0 - fail_quantile, cells - 1))
     verdict = "screen-pass" if stat <= threshold else "screen-fail"
     return IndependenceReport(

@@ -13,7 +13,7 @@ import sys
 
 from . import analysis, bench, loadbalance
 from .entropy import fresh_seed, spawn_rng
-from .errors import ConfigError, GuardExceeded, PeriodExhausted
+from .errors import ConfigError, GuardExceeded
 from .expander import TimeModel, search_parameters
 from .field import FieldError, parse_field_spec
 from .generator import (
@@ -23,6 +23,7 @@ from .generator import (
     build_expander_generator,
     seed_from_hex,
     seed_to_hex,
+    stream_chunks,
     write_stream,
 )
 
@@ -104,21 +105,18 @@ def cmd_gen(args) -> int:
             if args.format == "csv":
                 fh.write(b"index,value\n")
             emitted = 0
-            try:
-                for i in range(args.count):
-                    if args.format == "csv":
-                        fh.write(f"{i},{gen.emit()}\n".encode())
-                    else:
-                        fh.write(f"{gen.emit():0{width}x}\n".encode())
-                    emitted += 1
-            except PeriodExhausted:
-                print(f"period exhausted after {emitted} values", file=sys.stderr)
-                return EXIT_CONFIG
+            for values in stream_chunks(gen, args.count):
+                if args.format == "csv":
+                    text = "".join(f"{i},{v}\n" for i, v in enumerate(values.tolist(), emitted))
+                else:
+                    text = "".join(f"{v:0{width}x}\n" for v in values.tolist())
+                fh.write(text.encode())
+                emitted += len(values)
         else:
             emitted = write_stream(gen, fh, args.count, header=args.header)
-            if emitted < args.count:
-                print(f"period exhausted after {emitted} values", file=sys.stderr)
-                return EXIT_CONFIG
+        if emitted < args.count:
+            print(f"period exhausted after {emitted} values", file=sys.stderr)
+            return EXIT_CONFIG
     finally:
         fh.flush()
         if close:

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, repeat
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import GuardExceeded
 
 _LN10 = math.log(10.0)
 _LOG10_E = math.log10(math.e)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 BRUTE_FORCE_MAX_LEFT = 24
 SUBSET_ENUM_BUDGET = 2_000_000
@@ -339,6 +339,23 @@ class BoundResult:
         return 10.0 ** self.log10_delta if self.log10_delta > -307 else 0.0
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma of each element of x, for x > 0 or an integer x <= 0 (a
+    pole, +inf).  math.lgamma below 16, and above it Stirling's series up to
+    the x^-7 term, whose truncation error there is below 1e-14 (a
+    per-element math.lgamma costs about 0.25 s per million elements, and the
+    bound runs over up to k elements four times)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.maximum(x, 16.0)
+    r = 1.0 / (y * y)
+    out = ((y - 0.5) * np.log(y) - y + _HALF_LOG_2PI
+           + (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r / 1680))) / y)
+    small = (x > 0) & (x < 16.0)
+    out[small] = [math.lgamma(v) for v in x[small].tolist()]
+    out[x <= 0] = np.inf
+    return out
+
+
 def _logsumexp10(terms: np.ndarray) -> float:
     finite = terms[np.isfinite(terms)]
     if len(finite) == 0:
@@ -382,7 +399,7 @@ def beta_pair(i: int, d: int, m: int) -> float:
     if n % 2 == 1:
         return float("-inf")
     # (n-1)!! = n! / (2^(n/2) * (n/2)!)
-    log10_dfact = (gammaln(n + 1) - (n / 2) * math.log(2) - gammaln(n / 2 + 1)) / _LN10
+    log10_dfact = (math.lgamma(n + 1) - (n / 2) * math.log(2) - math.lgamma(n / 2 + 1)) / _LN10
     return float(log10_dfact - (n / 2) * math.log10(m))
 
 
@@ -398,10 +415,10 @@ def rank_failure_bound(c: int, m: int, d: int, k: int) -> BoundResult:
     cm = c * m
     i = np.arange(1, k + 1, dtype=np.float64)
     n = i * d
-    log10_binom = (gammaln(cm + 1) - gammaln(i + 1) - gammaln(cm - i + 1)) / _LN10
+    log10_binom = (math.lgamma(cm + 1) - _lgamma(i + 1) - _lgamma(cm - i + 1)) / _LN10
     bp = np.where(
         (i.astype(np.int64) * d) % 2 == 0,
-        (gammaln(n + 1) - (n / 2) * math.log(2) - gammaln(n / 2 + 1)) / _LN10
+        (_lgamma(n + 1) - (n / 2) * math.log(2) - _lgamma(n / 2 + 1)) / _LN10
         - (n / 2) * math.log10(m),
         -np.inf,
     )
@@ -410,7 +427,7 @@ def rank_failure_bound(c: int, m: int, d: int, k: int) -> BoundResult:
     terms = log10_binom + np.minimum(bp, bpo)
     return BoundResult(
         log10_delta=_logsumexp10(terms),
-        per_size_log10={int(v): float(t) for v, t in zip(i, terms)},
+        per_size_log10=dict(zip(range(1, k + 1), terms.tolist())),
     )
 
 

@@ -3,7 +3,10 @@
 Two engines:
 
 * an additive FFT over GF(2^w) that evaluates on an affine F_2-subspace
-  (Taylor expansion at x^2 - x, two half-size transforms per level), and
+  (Taylor expansion at x^2 - x, two half-size transforms per level; Gao and
+  Mateer, IEEE Trans. IT 2010).  `evaluate_vec` runs it on uint64 lanes, a
+  level at a time, with the plan's fixed multipliers precomputed; the scalar
+  recursion `evaluate` is its oracle and keeps the operation counts; and
 * a multiplicative-coset DFT over GF(p) that walks the cosets
   omega^j * <omega_k>, which partition F_p^* exactly.  For p < 2^32 a numpy
   transform evaluates a whole coset at once; the scalar radix-2 DFT is its
@@ -12,6 +15,7 @@ Two engines:
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +55,12 @@ class AdditiveFftPlan:
     independent field elements; output index b maps to the point
     shift + sum_i bit_i(b) * beta_{i+1}.  Defaults to the monomial basis
     1, x, x^2, ...
+
+    Besides the scalar levels, the plan holds the fixed multipliers of
+    `evaluate_vec`: over w <= 16 the twists' discrete logs, else one nibble
+    table of 16*ceil(w/4) words per twist and combo, about 2^(s+1) of them,
+    and per unit multiplier q*X^(4j) (1.5 MiB at w=64, s=8; the twist and
+    combo part doubles with each step of s).
     """
 
     def __init__(self, field: Gf2w, s: int, basis: Sequence[int] | None = None):
@@ -90,6 +100,40 @@ class AdditiveFftPlan:
                 combos[b] = combos[b ^ low] ^ norm[1 + low.bit_length() - 1]
             self.levels.append(_Level(lam, inv_lam, twists, combos))
             cur = [field.add(field.mul(g, g), g) for g in norm[1:]]
+        self._build_lanes()
+
+    def _build_lanes(self):
+        """The fixed multipliers of evaluate_vec, per level: the twists as
+        discrete logs (w <= 16) or nibble tables, and the combos as arrays
+        (w <= 16) or nibble tables.  Over w > 16 the plan also holds the
+        tables of the unit multipliers q*X^(4j), from which a per-call
+        multiplier's table is one gather.  All nibble tables come from one
+        nibble_tables call; they are immutable and shared by every caller."""
+        f = self.field
+        if f.has_log_tables:
+            self._twist_lanes = [
+                None if l.twists is None else f.lane_logs(np.array(l.twists, dtype=np.uint64))
+                for l in self.levels]
+            self._combo_lanes = [np.array(l.combos, dtype=np.uint64) for l in self.levels]
+            return
+        nq = (f.w + 3) // 4
+        consts = [l.twists for l in self.levels if l.twists is not None]
+        consts += [l.combos for l in self.levels]
+        consts.append([(q << 4 * j) & f.mask for j in range(nq) for q in range(16)])
+        tables = f.nibble_tables([t for c in consts for t in c])
+        *views, units = np.split(tables, np.cumsum([len(c) for c in consts])[:-1])
+        self._unit_tables = units.reshape(nq, 16, nq, 16)
+        views = iter(views)
+        self._twist_lanes = [None if l.twists is None else next(views) for l in self.levels]
+        self._combo_lanes = [next(views) for _ in self.levels]
+
+    def _tables_of(self, consts: list[int]) -> np.ndarray:
+        """nibble_tables of the given multipliers from the unit tables: the
+        table of t is the XOR over j of the tables of nibble_j(t) * X^(4j)."""
+        nq = self._unit_tables.shape[0]
+        nibbles = (np.array(consts, dtype=np.uint64)[:, None]
+                   >> np.arange(0, 4 * nq, 4, dtype=np.uint64)) & np.uint64(15)
+        return np.bitwise_xor.reduce(self._unit_tables[np.arange(nq), nibbles], axis=1)
 
     def points(self, shift: int = 0) -> list[int]:
         """The evaluation points in output order."""
@@ -110,6 +154,64 @@ class AdditiveFftPlan:
         self.field.validate(shift)
         c = list(coeffs) + [0] * (self.size - len(coeffs))
         return self._eval(0, c, shift)
+
+    def evaluate_vec(self, coeffs: np.ndarray, shift: int = 0) -> np.ndarray:
+        """evaluate on uint64 lanes; bit-identical to the scalar recursion.
+
+        At depth d all 2^d sub-problems share the level's twists, combos and
+        shift, so the recursion runs as two passes over the (2^d, n/2^d)
+        view of one array.  Top-down: twist, Taylor-expand (two slice XORs
+        per block size) and split even/odd coefficients into consecutive
+        rows.  Bottom-up: the butterflies e = g0 + (u_d + combos[b]) g1 and
+        out = [e, e + g1], interleaved.  Products take the field's log
+        tables for w <= 16, else the plan's nibble tables; the per-call
+        multipliers u_d get tables of their own, XORed into the combos'
+        (the tables are linear in the multiplier).
+        """
+        f = self.field
+        n = self.size
+        if coeffs.shape[0] > n:
+            raise FieldError(
+                f"polynomial of length {coeffs.shape[0]} exceeds transform size {n}"
+            )
+        f.validate(shift)
+        logs = f.has_log_tables
+        x = np.zeros(n, dtype=np.uint64)
+        x[:coeffs.shape[0]] = coeffs
+        us = []
+        for d, lvl in enumerate(self.levels):
+            m = n >> d
+            if lvl.lam != 1:
+                shift = f.mul(shift, lvl.inv_lam)
+                tw = self._twist_lanes[d]
+                rows = x.reshape(-1, m)
+                x = (f.lane_exp(f.lane_logs(rows) + tw) if logs
+                     else f.mul_lanes(tw, rows)).reshape(n)
+            size = m
+            while size > 2:
+                v = x.reshape(-1, size)
+                half, q = size >> 1, size >> 2
+                v[:, half:half + q] ^= v[:, half + q:]
+                v[:, q:half] ^= v[:, half:half + q]
+                size = half
+            us.append(shift)
+            shift = f.mul(shift, shift) ^ shift
+            x = x.reshape(-1, m >> 1, 2).transpose(0, 2, 1).reshape(n)
+        if not logs and us:
+            u_tables = self._tables_of(us)
+        for d in reversed(range(self.s)):
+            half = n >> (d + 1)
+            y = x.reshape(-1, 2, half)
+            g0, g1 = y[:, 0], y[:, 1]
+            if logs:
+                prod = f.lane_exp(f.lane_logs(g1) + f.lane_logs(self._combo_lanes[d] ^ us[d]))
+            else:
+                prod = f.mul_lanes(self._combo_lanes[d] ^ u_tables[d], g1)
+            out = np.empty((y.shape[0], half, 2), dtype=np.uint64)
+            np.bitwise_xor(g0, prod, out=out[:, :, 0])
+            np.bitwise_xor(out[:, :, 0], g1, out=out[:, :, 1])
+            x = out.reshape(n)
+        return x
 
     def _eval(self, depth: int, c: list[int], shift: int) -> list[int]:
         f = self.field
@@ -176,7 +278,8 @@ class CosetDftPlan:
     k must be a power of two dividing p-1.  The plan owns a coset cursor
     (index j and the running twist omega^j); advancing past the last coset
     raises PeriodExhausted.  Twiddle factors (k/2 powers of omega_k) are
-    precomputed once and shared by all cosets.
+    precomputed once and shared by all cosets, and by the plans `fork`
+    returns.
     """
 
     def __init__(self, field: Gfp, k: int, omega: int):
@@ -206,7 +309,18 @@ class CosetDftPlan:
             tw[i] = field.mul(tw[i - 1], omega_k)
         self._twiddles = tw
         self._rev = _bit_reversal(k)
-        self._vec_twiddles: tuple[np.ndarray, np.ndarray] | None = None
+        self._vec_twiddles = None
+        if p < 1 << 32:
+            vtw = np.array(tw, dtype=np.uint64)
+            self._vec_twiddles = (vtw, (vtw << np.uint64(32)) // np.uint64(p))
+
+    def fork(self) -> "CosetDftPlan":
+        """A plan at coset 0 sharing this plan's immutable tables (twiddles,
+        their Shoup quotients, the bit-reversal table)."""
+        plan = copy.copy(self)
+        plan.j = 0
+        plan.twist_base = 1
+        return plan
 
     def coset_points(self) -> list[int]:
         """The points omega^j * omega_k^r of the current coset, r = 0..k-1."""
@@ -272,9 +386,6 @@ class CosetDftPlan:
         k = self.k
         if coeffs.shape != (k,):
             raise FieldError("coefficient count must equal the transform length")
-        if self._vec_twiddles is None:
-            tw = np.array(self._twiddles, dtype=np.uint64)
-            self._vec_twiddles = (tw, (tw << np.uint64(32)) // np.uint64(p))
         tw, tw_q = self._vec_twiddles
         P = np.uint64(p)
         twist = np.empty(k, dtype=np.uint64)

@@ -147,7 +147,8 @@ def _gcd(a: int, b: int) -> int:
 
 # Lowest-weight irreducible g = x^w + ... + 1, as ascending exponent tuples.
 # Entries with w <= 16 are re-verified by brute force at construction time;
-# the larger ones are trusted as table entries.
+# the larger ones are trusted as table entries (tests check them with Rabin's
+# irreducibility test).
 REDUCTION_POLYS: dict[int, tuple[int, ...]] = {
     1: (0, 1),
     2: (0, 1, 2),
@@ -167,7 +168,7 @@ REDUCTION_POLYS: dict[int, tuple[int, ...]] = {
     16: (0, 1, 3, 5, 16),
     24: (0, 1, 3, 4, 24),
     32: (0, 2, 3, 7, 32),
-    48: (0, 1, 3, 5, 48),
+    48: (0, 2, 3, 5, 48),
     64: (0, 1, 3, 4, 64),
 }
 
@@ -197,6 +198,8 @@ class Gf2w:
     Multiplication is carryless product followed by a sparse-polynomial
     Barrett-style reduction; for w <= 16 a discrete-log table is additionally
     built so that products cost three lookups.  Both routes are bit-identical.
+    Lanes of uint64 arrays multiply through the same log tables for w <= 16,
+    or through per-multiplier nibble tables.
     """
 
     char = 2
@@ -236,6 +239,8 @@ class Gf2w:
         self._tail_exps = poly_exps[:-1]
         self._exp_table: list[int] | None = None
         self._log_table: list[int] | None = None
+        self._exp_vec: np.ndarray | None = None
+        self._log_vec: np.ndarray | None = None
         if w <= _LOG_TABLE_MAX_W and w > 1:
             self._build_log_tables()
 
@@ -251,6 +256,8 @@ class Gf2w:
     # -- construction helpers ------------------------------------------------
 
     def _build_log_tables(self):
+        """exp/log tables of a generator of F^*, built as arrays: the powers
+        gen^n..gen^(2n-1) are gen^0..gen^(n-1) times the constant gen^n."""
         order = self.mult_order
         factors = factorize(order)
         for cand in range(2, self.order):
@@ -259,14 +266,25 @@ class Gf2w:
                 break
         else:  # pragma: no cover - a generator always exists
             raise FieldError("no multiplicative generator found")
-        exp = [1] * order
-        for i in range(1, order):
-            exp[i] = self._mul_slow(exp[i - 1], gen)
-        log = [0] * self.order
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp_table = exp
-        self._log_table = log
+        exp = np.empty(order, dtype=np.uint64)
+        exp[0] = 1
+        n, step = 1, gen
+        while n < order:
+            take = min(n, order - n)
+            exp[n:n + take] = self.mul_lanes(self.nibble_tables([step]), exp[:take])
+            n, step = 2 * n, self._mul_slow(step, step)
+        # Lane products index exp_vec by log_a + log_b; a zero operand has
+        # log 2*order, which lands every sum that involves it in the zeros.
+        exp_vec = np.zeros(4 * order + 1, dtype=np.uint64)
+        exp_vec[:order] = exp
+        exp_vec[order:2 * order] = exp
+        log_vec = np.empty(self.order, dtype=np.int64)
+        log_vec[exp] = np.arange(order)
+        log_vec[0] = 2 * order
+        self._exp_vec = exp_vec
+        self._log_vec = log_vec
+        self._exp_table = exp.tolist()
+        self._log_table = log_vec.tolist()
 
     def _mul_slow(self, a: int, b: int) -> int:
         return self.reduce(clmul_portable(a, b))
@@ -339,11 +357,61 @@ class Gf2w:
         return r
 
     def inv(self, a: int) -> int:
+        """Extended Euclid over F_2[x]: u = g1*a and v = g2*a (mod g) hold
+        throughout, and the loop ends at u = 1 because gcd(a, g) = 1."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.mult_order - 1)
+        u, v, g1, g2 = a, self.g, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2 = v, u, g2, g1
+                j = -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
-    # -- vectorized lanes (numpy uint64), used by batch oracles ---------------
+    # -- vectorized lanes (numpy uint64) ----------------------------------------
+
+    @property
+    def has_log_tables(self) -> bool:
+        return self._log_vec is not None
+
+    def lane_logs(self, a: np.ndarray) -> np.ndarray:
+        """Discrete logs of uint64 lanes (w <= 16); zero maps to 2*(2^w-1)."""
+        return self._log_vec[a]
+
+    def lane_exp(self, e: np.ndarray) -> np.ndarray:
+        """gen^e for e a sum of two lane_logs; 0 when either log was zero's."""
+        return self._exp_vec[e]
+
+    def nibble_tables(self, consts) -> np.ndarray:
+        """Tables of the F_2-linear maps a -> t*a, one per multiplier t in
+        `consts`: shape (len(consts), ceil(w/4), 16) with table[i, j, q] =
+        t_i * (q X^(4j)).  Built for all multipliers at once from the
+        reduced products t*X^b, b < w, by doubling over the nibble bits."""
+        t = np.asarray(consts, dtype=np.uint64).reshape(-1, 1)
+        b = np.arange(self.w, dtype=np.uint64)
+        nq = (self.w + 3) // 4
+        bits = np.zeros((t.shape[0], 4 * nq), dtype=np.uint64)
+        bits[:, :self.w] = self._reduce_vec((t >> (np.uint64(63) - b)) >> np.uint64(1), t << b)
+        bits = bits.reshape(-1, nq, 4)
+        tables = np.zeros((t.shape[0], nq, 16), dtype=np.uint64)
+        for i in range(4):
+            np.bitwise_xor(tables[:, :, :1 << i], bits[:, :, i, None],
+                           out=tables[:, :, 1 << i:2 << i])
+        return tables
+
+    def mul_lanes(self, tables: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Products of uint64 lanes a (shape (..., L)) with the multipliers
+        whose nibble_tables are `tables` (shape (L, ceil(w/4), 16)), lane l
+        by multiplier l: one gather over the nibble indices of a, then an
+        XOR over the nibbles.  A single table broadcasts over all lanes."""
+        nq = tables.shape[1]
+        shifts = np.arange(0, 4 * nq, 4, dtype=np.uint64)
+        idx = (a[..., None] >> shifts) & np.uint64(15)
+        idx += np.arange(0, tables.size, 16, dtype=np.uint64).reshape(-1, nq)
+        return np.bitwise_xor.reduce(tables.reshape(-1).take(idx), axis=-1)
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Lane-wise mul of uint64 arrays; schoolbook + sparse reduction."""
@@ -409,12 +477,8 @@ class Gf2w:
 # --------------------------------------------------------------------------
 
 class Gfp:
-    """Context for GF(p), p prime and < 2^63.
-
-    Products are reduced with a precomputed 128-bit reciprocal (Barrett), so
-    the hot path runs on multiplications and shifts only; at most one
-    conditional subtraction is needed.
-    """
+    """Context for GF(p), p prime and < 2^63; products are reduced with one
+    wide-integer remainder."""
 
     char_is_two = False
 
@@ -430,8 +494,6 @@ class Gfp:
         self.elem_bytes = 8
         self.zero = 0
         self.one = 1 % p
-        self._shift = 128
-        self._recip = (1 << 128) // p
 
     def __repr__(self):
         return f"Gfp(p={self.p})"
@@ -456,9 +518,7 @@ class Gfp:
         return self.p - a if a else 0
 
     def mul(self, a: int, b: int) -> int:
-        t = a * b
-        r = t - ((t * self._recip) >> 128) * self.p
-        return r - self.p if r >= self.p else r
+        return a * b % self.p
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)

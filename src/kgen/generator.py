@@ -15,15 +15,19 @@ Four kinds:
 The horner and fft-batch kinds are exact (failure probability zero); the
 sampled kinds declare the union-bound failure probability of their graphs.
 
-The sampled kinds compute one whole block of c*m outputs per refill as
-arrays: `BipartiteGraph.row_sums` gathers the right table column by column
-and reduces by XOR over GF(2^w) or modular addition over GF(p).  `fill(n)` hands out uint64 array slices of that block; `emit` and
-`emit_batch` read from it as Python ints.  `write_stream` serializes whole
-chunks with one `tobytes` each.
+fft-batch, expander and cascade share one block cursor (`_BlockStream`):
+a refill computes a whole block as a uint64 array, `fill(n)` hands out
+slices of it, and `emit` and `emit_batch` read from it as Python ints.  An
+fft-batch block is one batch transform; an expander or cascade block is the
+c*m outputs of one gather, where `BipartiteGraph.row_sums` gathers the right
+table column by column and reduces by XOR over GF(2^w) or modular addition
+over GF(p).  `stream_chunks` takes a stream in chunks of 2^16 values, which
+`write_stream` serializes with one `tobytes` each.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 
@@ -105,128 +109,10 @@ class HornerGenerator:
         return [self.emit() for _ in range(count)]
 
 
-class FftBatchGenerator:
-    """Evaluates the seed polynomial one structured batch at a time.
-
-    Over GF(2^w) the batches are the affine subspaces W, W+delta_1, ... that
-    cover the whole field, enumerated by Gray-coded coset representatives;
-    period 2^w.  Over GF(p) the batches are the multiplicative cosets
-    omega^j * <omega_k>, which cover F_p^* exactly; period p-1.
-    """
-
-    def __init__(self, field, k: int, seed, omega: int | None = None):
-        if k < 1:
-            raise ConfigError("k must be >= 1")
-        if k > field.order:
-            raise ConfigError(f"k={k} exceeds field size {field.order}")
-        self.field = field
-        self.seed = _check_seed(field, seed, k)
-        self.h = Polynomial(field, self.seed)
-        self._buffer: list[int] = []
-        self._buf_pos = 0
-        if isinstance(field, Gf2w):
-            s = max(0, (k - 1).bit_length())
-            self._plan = AdditiveFftPlan(field, s)
-            self.batch_size = 1 << s
-            self._num_batches = 1 << (field.w - s)
-            self._next_batch = 0
-            period = field.order
-            self._mode = "additive"
-        elif isinstance(field, Gfp):
-            if (field.p - 1) % k != 0:
-                raise ConfigError(f"k={k} does not divide p-1={field.p - 1}")
-            if k & (k - 1):
-                raise ConfigError(f"coset DFT path needs a power-of-two k, got {k}")
-            if omega is None:
-                omega = find_primitive_element(field)
-            self._plan = CosetDftPlan(field, k, omega)
-            self._coeffs_vec = np.array(self.seed, dtype=np.uint64) if field.p < 1 << 32 else None
-            self.batch_size = k
-            self._num_batches = self._plan.num_cosets
-            self._next_batch = 0
-            period = field.p - 1
-            self._mode = "coset"
-        else:
-            raise ConfigError(f"unsupported field context {field!r}")
-        self.descriptor = GeneratorDescriptor("fft-batch", field, k, period, 0.0, k)
-        self._emitted = 0
-
-    def fork(self, seed) -> "FftBatchGenerator":
-        omega = self._plan.omega if self._mode == "coset" else None
-        return FftBatchGenerator(self.field, self.descriptor.k, seed, omega)
-
-    @property
-    def remaining(self) -> int:
-        return self.descriptor.period - self._emitted
-
-    def _refill(self):
-        j = self._next_batch
-        if j >= self._num_batches:
-            raise PeriodExhausted(f"period {self.descriptor.period} consumed")
-        if self._mode == "additive":
-            shift = self._gray_shift(j)
-            self._buffer = self._plan.evaluate(self.h.coeffs, shift)
-        else:
-            if j > 0:
-                self._plan.advance_coset()
-            if self._coeffs_vec is not None:
-                self._buffer = self._plan.evaluate_coset_vec(self._coeffs_vec).tolist()
-            else:
-                self._buffer = self._plan.evaluate_coset(self.h.coeffs)
-        self._buf_pos = 0
-        self._next_batch = j + 1
-
-    def _gray_shift(self, j: int) -> int:
-        gray = j ^ (j >> 1)
-        s = self._plan.s
-        shift = 0
-        bit = 0
-        while gray:
-            if gray & 1:
-                shift |= 1 << (s + bit)
-            gray >>= 1
-            bit += 1
-        return shift
-
-    def emit(self) -> int:
-        if self._emitted >= self.descriptor.period:
-            raise PeriodExhausted(f"period {self.descriptor.period} consumed")
-        if self._buf_pos >= len(self._buffer):
-            self._refill()
-        v = self._buffer[self._buf_pos]
-        self._buf_pos += 1
-        self._emitted += 1
-        return v
-
-    def emit_batch(self, count: int) -> list[int]:
-        if count > self.descriptor.period - self._emitted:
-            raise PeriodExhausted(
-                f"{count} values requested, {self.descriptor.period - self._emitted} remain"
-            )
-        out = []
-        while count:
-            if self._buf_pos >= len(self._buffer):
-                self._refill()
-            take = min(count, len(self._buffer) - self._buf_pos)
-            out.extend(self._buffer[self._buf_pos:self._buf_pos + take])
-            self._buf_pos += take
-            self._emitted += take
-            count -= take
-        return out
-
-
-def required_independence(needed: int, inner_period: int) -> int:
-    """Independence the inner stream must supply.
-
-    Any subset of positions of a stream is capped by the stream length, so a
-    fully independent period-P stream satisfies every requirement above P.
-    """
-    return min(needed, inner_period)
-
-
 class _BlockStream:
     """Cursor over blocks of `_block_size` values that `_next_block()`
-    computes as uint64 arrays; the period check lives here once."""
+    computes as uint64 arrays.  The blocks tile the period, so the period is
+    checked once, when a block is due."""
 
     def _start(self):
         self._block: np.ndarray | None = None
@@ -238,6 +124,8 @@ class _BlockStream:
         return self.descriptor.period - self._emitted
 
     def _advance(self):
+        if self._emitted >= self.descriptor.period:
+            raise PeriodExhausted(f"period {self.descriptor.period} consumed")
         block = self._next_block()
         block.flags.writeable = False
         self._block = block
@@ -262,10 +150,92 @@ class _BlockStream:
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
 
     def emit(self) -> int:
-        return int(self.fill(1)[0])
+        if self._block is None or self._cursor >= self._block_size:
+            self._advance()
+        v = self._block[self._cursor]
+        self._cursor += 1
+        self._emitted += 1
+        return int(v)
 
     def emit_batch(self, count: int) -> list[int]:
         return self.fill(count).tolist()
+
+
+class FftBatchGenerator(_BlockStream):
+    """Evaluates the seed polynomial one structured batch at a time; each
+    batch is one block.
+
+    Over GF(2^w) the batches are the affine subspaces W, W+delta_1, ... that
+    cover the whole field, enumerated by Gray-coded coset representatives;
+    period 2^w.  A batch is one `AdditiveFftPlan.evaluate_vec`.  Over GF(p)
+    the batches are the multiplicative cosets omega^j * <omega_k>, which
+    cover F_p^* exactly; period p-1.  A batch is one
+    `CosetDftPlan.evaluate_coset_vec` for p < 2^32, else the scalar
+    `evaluate_coset`.  `fork` shares the plan's immutable tables.
+    """
+
+    def __init__(self, field, k: int, seed, omega: int | None = None):
+        if k < 1:
+            raise ConfigError("k must be >= 1")
+        if k > field.order:
+            raise ConfigError(f"k={k} exceeds field size {field.order}")
+        self.field = field
+        if isinstance(field, Gf2w):
+            s = max(0, (k - 1).bit_length())
+            self._plan = AdditiveFftPlan(field, s)
+            period = field.order
+        elif isinstance(field, Gfp):
+            if (field.p - 1) % k != 0:
+                raise ConfigError(f"k={k} does not divide p-1={field.p - 1}")
+            if k & (k - 1):
+                raise ConfigError(f"coset DFT path needs a power-of-two k, got {k}")
+            if omega is None:
+                omega = find_primitive_element(field)
+            self._plan = CosetDftPlan(field, k, omega)
+            period = field.p - 1
+        else:
+            raise ConfigError(f"unsupported field context {field!r}")
+        self.batch_size = self._block_size = 1 << max(0, (k - 1).bit_length())
+        self.descriptor = GeneratorDescriptor("fft-batch", field, k, period, 0.0, k)
+        self._reseed(seed)
+
+    def _reseed(self, seed):
+        self.seed = _check_seed(self.field, seed, self.descriptor.k)
+        self._coeffs_vec = np.array(self.seed, dtype=np.uint64)
+        self._next_batch = 0
+        self._start()
+
+    def fork(self, seed) -> "FftBatchGenerator":
+        gen = copy.copy(self)
+        if isinstance(self._plan, CosetDftPlan):
+            gen._plan = self._plan.fork()
+        gen._reseed(seed)
+        return gen
+
+    def _next_block(self) -> np.ndarray:
+        j = self._next_batch
+        self._next_batch = j + 1
+        if isinstance(self._plan, AdditiveFftPlan):
+            return self._plan.evaluate_vec(self._coeffs_vec, self._gray_shift(j))
+        if j > 0:
+            self._plan.advance_coset()
+        if self.field.p < 1 << 32:
+            return self._plan.evaluate_coset_vec(self._coeffs_vec)
+        return np.array(self._plan.evaluate_coset(self.seed), dtype=np.uint64)
+
+    def _gray_shift(self, j: int) -> int:
+        """Representative of batch j: the Gray code of j above the s
+        subspace bits."""
+        return (j ^ (j >> 1)) << self._plan.s
+
+
+def required_independence(needed: int, inner_period: int) -> int:
+    """Independence the inner stream must supply.
+
+    Any subset of positions of a stream is capped by the stream length, so a
+    fully independent period-P stream satisfies every requirement above P.
+    """
+    return min(needed, inner_period)
 
 
 class ExpanderGenerator(_BlockStream):
@@ -511,7 +481,7 @@ def seed_from_hex(field, text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Values per fill/emit_batch call and per write in write_stream.
+# Values per fill/emit_batch call in stream_chunks.
 _WRITE_CHUNK = 1 << 16
 
 
@@ -523,25 +493,32 @@ def _words_to_bytes(values: np.ndarray, elem_bytes: int) -> bytes:
     return wide[:, :elem_bytes].tobytes()
 
 
+def stream_chunks(gen, count: int):
+    """The next `count` values of `gen` as uint64 arrays of up to 2^16
+    values each; fewer values in all when the period runs out.
+
+    Values are taken from `gen.fill` when it has one, else from
+    `gen.emit_batch`; `gen.remaining`, when present, caps the count.
+    """
+    count = max(0, min(count, getattr(gen, "remaining", count)))
+    fill = getattr(gen, "fill", None)
+    while count > 0:
+        n = min(_WRITE_CHUNK, count)
+        yield fill(n) if fill is not None else np.array(gen.emit_batch(n), dtype=np.uint64)
+        count -= n
+
+
 def write_stream(gen, fh, count: int, header: bool = False):
     """Raw little-endian fixed-width words, optionally preceded by a text
     descriptor line.  Returns the number of values written (short only if
-    the period runs out mid-stream).
-
-    Values are taken from `gen.fill` when it has one, else from
-    `gen.emit_batch`, and written one chunk at a time; `gen.remaining`, when
-    present, caps the count.
+    the period runs out mid-stream).  One write per `stream_chunks` chunk.
     """
     field = gen.field
     if header:
         line = gen.descriptor.header_line() + f" seed={seed_to_hex(field, gen.seed)}\n"
         fh.write(line.encode())
-    count = max(0, min(count, getattr(gen, "remaining", count)))
-    fill = getattr(gen, "fill", None)
     written = 0
-    while written < count:
-        n = min(_WRITE_CHUNK, count - written)
-        values = fill(n) if fill is not None else np.array(gen.emit_batch(n), dtype=np.uint64)
+    for values in stream_chunks(gen, count):
         fh.write(_words_to_bytes(values, field.elem_bytes))
-        written += n
+        written += len(values)
     return written

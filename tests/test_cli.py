@@ -90,6 +90,45 @@ def test_gen_entropy_runs_and_differs(capsys):
     assert out3.splitlines() == out1.splitlines()[1:]
 
 
+# `kgen gen --format hex|csv --header` output of each kind, pinned by sha256:
+# two 2^16-value chunks (fft-batch), and the partial output of a stream whose
+# period runs out (horner, cascade; exit code 2)
+_TEXT_CASES = {
+    "horner": (["--field", "gf2w:16", "--kind", "horner", "--k", "2",
+                "--seed", "00010002", "--count", "70000"], 2, {
+        "hex": "9bbc4dcd86418ceb11ba08bc61c51ef9ce5542bfb66a64af927a02e60b90683b",
+        "csv": "456fd51bdfb0aa2bfe1161ff7cce7dc8751d7d0290a8c2ac6579b008d2978d40"}),
+    "fft-batch": (["--field", "gf2w:24", "--kind", "fft-batch", "--k", "4",
+                   "--seed", "0000a1123456fedcba000001", "--count", "70000"], 0, {
+        "hex": "eaa76e8e5b1535a613e54849eb263335e5847f7f69346401e1eca32a1e2c3184",
+        "csv": "1676c5096b76fa8c6f0e3fd9c2048cfeebd1213dd13523eff789bf5a12068047"}),
+    "expander": (["--field", "gf2w:16", "--kind", "expander", "--k", "4", "--c", "2",
+                  "--m", "64", "--d", "2", "--inner", "fft-batch", "--graph-seed", "3",
+                  "--seed", "0001002000300040005000600070ffff", "--count", "300"], 0, {
+        "hex": "10e0b345593ac9ce051379df5dbde69cfb635279473f82fab4d7b01ae6f8b5fc",
+        "csv": "c8cef99503aefdd3a1065f7206f68316bf3b6de9d52fe8180f3ac89553a2ca54"}),
+    "cascade": (["--field", "gfp:257", "--kind", "cascade", "--k", "2", "--c", "2",
+                 "--d", "2", "--t", "2", "--m", "16", "--inner", "fft-batch",
+                 "--seed", "".join(f"{v:016x}" for v in (1, 7, 250, 0, 3, 256, 9, 100)),
+                 "--count", "1100"], 2, {
+        "hex": "8d5b545649ce2e3047a9e45d92f99d68c35186f0ed53bdda32027a4c82f9280a",
+        "csv": "5c82b9ab864f7db67d8fdf15b167006dacd00cfbee6db44afeef3b312d37604e"}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["hex", "csv"])
+@pytest.mark.parametrize("kind", sorted(_TEXT_CASES))
+def test_gen_text_formats_pinned(tmp_path, capsys, kind, fmt):
+    import hashlib
+
+    argv, want_code, digests = _TEXT_CASES[kind]
+    out_file = tmp_path / f"stream.{fmt}"
+    code, _, err = run_cli(["gen", *argv, "--format", fmt, "--header",
+                            "--out", str(out_file)], capsys)
+    assert code == want_code, err
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digests[fmt]
+
+
 def test_gen_binary_format(tmp_path, capsys):
     out_file = tmp_path / "stream.bin"
     code, _, _ = run_cli(

@@ -58,6 +58,50 @@ def test_additive_fft_custom_basis():
     assert got == naive_multipoint(h, plan.points(0x11))
 
 
+@pytest.mark.parametrize("w", [1, 2, 8, 16, 24, 32, 48, 64])
+def test_additive_fft_vec_matches_scalar_and_naive(w):
+    f = Gf2w(w)
+    rng = random.Random(200 + w)
+    for s in range(min(w, 8) + 1):
+        plan = AdditiveFftPlan(f, s)
+        top = f.mask ^ ((1 << s) - 1)  # the last coset of the subspace
+        for shift in sorted({0, 1, 1 << s if s < w else 0, top}):
+            h = random_polynomial(f, rng.randrange(1, (1 << s) + 1), rng)
+            got = plan.evaluate_vec(np.array(h.coeffs, dtype=np.uint64), shift)
+            assert got.dtype == np.uint64 and got.shape == (1 << s,)
+            want = plan.evaluate(h.coeffs, shift)
+            assert got.tolist() == want, (w, s, shift)
+            assert want == naive_multipoint(h, plan.points(shift)), (w, s, shift)
+
+
+@pytest.mark.parametrize("w,basis", [(8, [0x8D, 0x03, 0x51]),
+                                     (64, [0x8D << 40, 0x03, 0x51 << 7, 1 << 63, 0x1234])])
+def test_additive_fft_vec_custom_basis(w, basis):
+    # the first basis element is not 1, so depth 0 twists by lambda != 1
+    f = Gf2w(w)
+    plan = AdditiveFftPlan(f, len(basis), basis)
+    assert plan.levels[0].lam != 1
+    rng = random.Random(13)
+    for shift in (0, 0x11, f.mask):
+        h = random_polynomial(f, plan.size, rng)
+        got = plan.evaluate_vec(np.array(h.coeffs, dtype=np.uint64), shift).tolist()
+        assert got == plan.evaluate(h.coeffs, shift)
+        assert got == naive_multipoint(h, plan.points(shift))
+
+
+def test_additive_fft_vec_tables_and_rejections():
+    f = Gf2w(64)
+    plan = AdditiveFftPlan(f, 8)
+    # every twist and combo table is a view of one array of at most 2 MiB
+    base = plan._combo_lanes[0].base
+    assert all(t.base is base for t in plan._combo_lanes + plan._twist_lanes if t is not None)
+    assert base.nbytes <= 2 << 20
+    with pytest.raises(FieldError):
+        plan.evaluate_vec(np.zeros(257, dtype=np.uint64))
+    with pytest.raises(FieldError):
+        plan.evaluate_vec(np.zeros(4, dtype=np.uint64), 1 << 64)
+
+
 def test_additive_fft_basis_dependence_rejected():
     f = Gf2w(8)
     with pytest.raises(FieldError):
@@ -217,6 +261,21 @@ def test_coset_dft_vec_matches_scalar_and_naive(p):
             assert [got[r] for r in sample] == naive_multipoint(h, [points[r] for r in sample])
         k *= 2
     assert k > 256
+
+
+def test_coset_plan_fork_shares_tables_not_cursor():
+    f = Gfp(2013265921)
+    plan = CosetDftPlan(f, 64, find_primitive_element(f))
+    plan.advance_coset()
+    twin = plan.fork()
+    assert (twin.j, twin.twist_base) == (0, 1) and (plan.j, plan.twist_base) != (0, 1)
+    assert twin._vec_twiddles[0] is plan._vec_twiddles[0]
+    assert twin._vec_twiddles[1] is plan._vec_twiddles[1]
+    assert twin._twiddles is plan._twiddles and twin._rev is plan._rev
+    twin.advance_coset()
+    assert (plan.j, twin.j) == (1, 1)
+    coeffs = np.arange(64, dtype=np.uint64)
+    assert twin.evaluate_coset_vec(coeffs).tolist() == plan.evaluate_coset_vec(coeffs).tolist()
 
 
 def test_coset_dft_vec_rejections():

@@ -62,6 +62,29 @@ def test_builtin_polys_small_w_verified():
             Gf2w(w)  # construction runs the brute-force irreducibility oracle
 
 
+def _rabin_irreducible(g, w):
+    """x^(2^w) = x mod g, and gcd(x^(2^(w/q)) - x, g) = 1 for each prime q | w."""
+    def frob(e):
+        x = 2
+        for _ in range(e):
+            x = longdiv_mod(schoolbook_clmul(x, x), g)
+        return x
+
+    def gcd(a, b):
+        while b:
+            a, b = b, longdiv_mod(a, b)
+        return a
+
+    primes = [q for q in range(2, w + 1) if w % q == 0 and all(q % r for r in range(2, q))]
+    return frob(w) == 2 and all(gcd(g, frob(w // q) ^ 2) == 1 for q in primes)
+
+
+def test_builtin_polys_above_16_irreducible():
+    for w in REDUCTION_POLYS:
+        if w > 16:
+            assert _rabin_irreducible(Gf2w(w).g, w), w
+
+
 def test_reducible_poly_rejected():
     with pytest.raises(FieldError):
         Gf2w(4, (0, 2, 4))  # x^4+x^2+1 = (x^2+x+1)^2
@@ -142,6 +165,45 @@ def test_gf2w64_field_axioms(a, b, c):
     assert f.add(a, f.add(b, c)) == f.add(f.add(a, b), c)
     if a:
         assert f.mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("w", sorted(REDUCTION_POLYS))
+def test_gf2w_inverse_matches_fermat_power(w):
+    f = Gf2w(w)
+    rng = random.Random(w)
+    elems = {1, f.mask} | {f.random_element(rng) or 1 for _ in range(40)}
+    for a in elems:
+        assert f.inv(a) == f.pow(a, f.order - 2), (w, a)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
+@pytest.mark.parametrize("w", [2, 3, 8, 16])
+def test_log_tables_are_generator_powers(w):
+    f = Gf2w(w)
+    exp, log = f._exp_table, f._log_table
+    assert len(exp) == f.mult_order and sorted(exp) == list(range(1, f.order))
+    assert exp[1] != 1 and exp[0] == 1
+    assert all(exp[i] == f.mul_portable(exp[i - 1], exp[1]) for i in range(1, len(exp)))
+    assert all(exp[log[a]] == a for a in range(1, f.order))
+
+
+@pytest.mark.parametrize("w", [1, 2, 8, 16, 24, 48, 64])
+def test_lane_products_match_scalar_mul(w):
+    f = Gf2w(w)
+    rng = random.Random(100 + w)
+    consts = [0, 1, f.mask] + [f.random_element(rng) for _ in range(13)]
+    a = np.array([[f.random_element(rng) for _ in consts] for _ in range(5)] + [[0] * 16],
+                 dtype=np.uint64)
+    want = [[f.mul_portable(int(x), t) for x, t in zip(row, consts)] for row in a.tolist()]
+    tables = f.nibble_tables(consts)
+    assert tables.shape == (16, (w + 3) // 4, 16)
+    assert f.mul_lanes(tables, a).tolist() == want
+    # one table broadcasts over every lane
+    assert f.mul_lanes(tables[2:3], a[0]).tolist() == [f.mul(int(x), f.mask) for x in a[0]]
+    if f.has_log_tables:
+        b = np.array(consts, dtype=np.uint64)
+        assert f.lane_exp(f.lane_logs(a) + f.lane_logs(b)).tolist() == want
 
 
 def test_gf2w_pow():

@@ -135,6 +135,62 @@ def test_fft_batch_gf2w_nonpow2_k():
         + [gen._gray_shift(1) ^ b for b in range(8)])
 
 
+@pytest.mark.parametrize("spec,k", [("gf2w:8", 8), ("gf2w:8", 5), ("gfp:257", 16),
+                                    ("gfp:9223372036853661697", 4)])
+def test_fft_batch_fill_emit_and_emit_batch_agree(spec, k):
+    f = parse_field_spec(spec)
+    rng = random.Random(k)
+    seed = [f.random_element(rng) for _ in range(k)]
+    a, b, c = (FftBatchGenerator(f, k, seed) for _ in range(3))
+    n = min(a.descriptor.period, 300)
+    if spec.startswith("gf2w"):  # run to the end of the period
+        n = a.descriptor.period
+        assert a.batch_size == 8 and n == 256
+    filled = []
+    for size in (1, 7, a.batch_size, 3 * a.batch_size + 1, n):
+        size = min(size, n - len(filled))
+        block = a.fill(size)
+        assert block.dtype == np.uint64 and len(block) == size
+        filled += block.tolist()
+    emitted = [b.emit() for _ in range(n)]
+    assert all(type(v) is int for v in emitted)
+    batched = []
+    while len(batched) < n:
+        batch = c.emit_batch(min(5, n - len(batched)))
+        assert type(batch) is list and all(type(v) is int for v in batch)
+        batched += batch
+    assert filled == emitted == batched
+    assert a.remaining == b.remaining == c.remaining == a.descriptor.period - n
+    if n == a.descriptor.period:
+        for gen in (a, b, c):
+            with pytest.raises(PeriodExhausted):
+                gen.emit()
+            with pytest.raises(PeriodExhausted):
+                gen.fill(1)
+            with pytest.raises(PeriodExhausted):
+                gen.emit_batch(1)
+
+
+@pytest.mark.parametrize("spec,k", [("gf2w:64", 32), ("gf2w:16", 128), ("gfp:2013265921", 64)])
+def test_fft_batch_fork_shares_plan_data(spec, k):
+    f = parse_field_spec(spec)
+    rng = random.Random(k)
+    parent = FftBatchGenerator(f, k, [f.random_element(rng) for _ in range(k)])
+    parent.emit_batch(3 * k + 1)  # move the parent's coset cursor
+    seed = [f.random_element(rng) for _ in range(k)]
+    child = parent.fork(seed)
+    omega = getattr(parent._plan, "omega", None)
+    fresh = FftBatchGenerator(f, k, seed, omega)
+    assert child.emit_batch(4 * k) == fresh.emit_batch(4 * k)
+    assert parent.emit_batch(k) != child.emit_batch(k)
+    if spec.startswith("gfp"):
+        assert child._plan is not parent._plan
+        assert child._plan._vec_twiddles[0] is parent._plan._vec_twiddles[0]
+        assert (parent._plan.j, child._plan.j) == (4, 4)
+    else:
+        assert child._plan is parent._plan
+
+
 @given(st.integers(0, 2**32))
 @settings(max_examples=20, deadline=None)
 def test_emit_vs_emit_batch_interleaving(seed_int):
@@ -248,16 +304,21 @@ class CountingGfp(Gfp):
 
 
 def test_expander_amortized_ops_flat_in_k():
-    # field operations per output stay bounded by a constant as k grows
+    # field operations per output, counted after construction, stay bounded
+    # by a constant as k grows.  p is above 2^32, so the inner refill is the
+    # scalar coset DFT, whose field calls are counted; the vector DFT (p <
+    # 2^32) makes the same butterflies without calling the field.
     per_output = {}
     for k in (2**6, 2**10):
-        ctx = CountingGfp(2013265921)
+        ctx = CountingGfp(9223372036853661697)
         gen = build_expander_generator(ctx, k, c=16, m=1 << 10, d=4,
                                        inner_kind="fft-batch",
                                        rng=random.Random(k))
         cycle = 16 * max(1 << 10, gen.inner.batch_size)
+        ctx.counts = {"add": 0, "mul": 0}
         gen.emit_batch(cycle)
         per_output[k] = sum(ctx.counts.values()) / cycle
+    assert per_output[2**6] > 0.5, per_output  # the refill's butterflies are counted
     assert per_output[2**10] <= 2.0 * per_output[2**6], per_output
 
 
