@@ -1,15 +1,22 @@
 """Verification that generator output is what it claims: exhaustive seed
 enumeration gives exact verdicts on tiny fields; a chi-square screen gives
-statistical smoke coverage at production scale."""
+statistical smoke coverage at production scale.
+
+The exhaustive check counts with arrays: the streams of all seeds form one
+position-major matrix, and each examined k-subset of positions is one
+`bincount` of mixed-radix tuple keys, so memory beyond the streams is
+O(#seeds + |F|^k) whatever the number of subsets.  It refuses (ConfigError)
+a check that would examine no subset, which would otherwise read as a pass."""
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 
-from .errors import GuardExceeded
+import numpy as np
+
+from .errors import ConfigError, GuardExceeded
 
 ENUM_GUARD = 10_000_000
 POSITION_SUBSET_CAP = 200
@@ -50,13 +57,28 @@ def exhaustive_independence_check(
     of the |F|^k output tuples occurs exactly (#seeds)/|F|^k times at every
     examined k-subset of positions.
 
-    `make_generator(seed)` must be a deterministic factory.  When C(n, k)
-    exceeds the cap, a deterministic lexicographic prefix of the subsets is
-    examined (reported via positions_examined, keeping the exactness claim
-    honest).  Seed spaces above the guard are rejected with the scale that
-    would be required.  `threads` splits the enumeration over first-element
-    seed ranges; the merge order is deterministic either way.
+    `make_generator(seed)` must be a deterministic factory; its
+    `emit_batch(n)` is called once per seed, in `itertools.product` order.
+    When C(n, k) exceeds the cap, a deterministic lexicographic prefix of the
+    subsets is examined (reported via positions_examined, keeping the
+    exactness claim honest).  A check that would examine no subset (k < 1,
+    n < k or a cap below 1) is refused with `ConfigError` rather than
+    reported as a pass.  Seed spaces above the guard are rejected with the
+    scale that would be required.  `threads` splits the enumeration over
+    first-element seed ranges; the merge order is deterministic either way.
+
+    The streams are packed into one (n, #seeds) matrix.  Each subset's
+    tuples are counted with one `bincount` of their mixed-radix keys
+    sum_j col[i_j] |F|^(k-1-j), so temporaries stay O(#seeds + |F|^k) per
+    subset.  A value outside [0, |F|) fails the check before any counting.
+    When |F|^k > #seeds no subset can pass; the first one fails with its
+    distinct tuples counted row-wise (the keys could overflow there).
     """
+    if k < 1 or n < k or max_position_subsets < 1:
+        raise ConfigError(
+            f"exhaustive check with k={k}, n={n} and max_position_subsets="
+            f"{max_position_subsets} would examine no {k}-subset of positions"
+        )
     order = field.order
     n_seeds = order ** seed_len
     if n_seeds > guard:
@@ -85,33 +107,56 @@ def exhaustive_independence_check(
     else:
         streams = materialize(range(order))
 
-    n_subsets = math.comb(n, k)
-    subsets = islice(combinations(range(n), k), max_position_subsets)
-    examined = 0
-    worst = 0.0
-    tuple_count = order ** k
-    # exact equality in integer arithmetic: count * |F|^k == #seeds
-    for subset in subsets:
-        examined += 1
-        counts: dict[tuple, int] = {}
-        for stream in streams:
-            key = tuple(stream[i] for i in subset)
-            counts[key] = counts.get(key, 0) + 1
-        expected = n_seeds / tuple_count
-        dev = max(
-            (abs(c - expected) for c in counts.values()), default=expected
+    bad = _first_out_of_range(streams, order)
+    if bad is not None:
+        seed_index, position, value = bad
+        return IndependenceReport(
+            "exact-fail", k, 0, 0.0,
+            detail=f"value={value} not in [0, {order}) seed_index={seed_index}"
+                   f" position={position}",
         )
-        if len(counts) < tuple_count:
-            dev = max(dev, expected)  # some tuple never occurred
-        worst = max(worst, dev)
-        if any(c * tuple_count != n_seeds for c in counts.values()) or (
-            len(counts) != tuple_count
-        ):
+    columns = np.array(streams, dtype=np.uint64).T  # (n, #seeds)
+    tuple_count = order ** k
+    expected = n_seeds / tuple_count
+    subsets = islice(combinations(range(n), k), max_position_subsets)
+
+    if tuple_count > n_seeds:
+        subset = next(subsets)
+        _, counts = np.unique(columns[list(subset)].T, axis=0, return_counts=True)
+        worst = max(float(counts.max()) - expected, expected)
+        return IndependenceReport(
+            "exact-fail", k, 1, worst,
+            detail=f"subset={subset} tuples={len(counts)}/{tuple_count}",
+        )
+
+    # values < |F| here, so keys stay below |F|^k <= #seeds
+    columns = np.ascontiguousarray(columns, dtype=np.int64)
+    worst = 0.0
+    for examined, subset in enumerate(subsets, 1):
+        key = columns[subset[0]]
+        for i in subset[1:]:
+            key = key * order + columns[i]
+        counts = np.bincount(key, minlength=tuple_count)
+        lo, hi = int(counts.min()), int(counts.max())
+        worst = max(worst, abs(lo - expected), abs(hi - expected))
+        if lo != hi or lo * tuple_count != n_seeds:
             return IndependenceReport(
                 "exact-fail", k, examined, worst,
-                detail=f"subset={subset} tuples={len(counts)}/{tuple_count}",
+                detail=f"subset={subset} tuples={np.count_nonzero(counts)}"
+                       f"/{tuple_count}",
             )
     return IndependenceReport("exact-pass", k, examined, worst)
+
+
+def _first_out_of_range(streams, order: int):
+    """(seed index, position, value) of the first stream value outside
+    [0, order), in materialization order, or None."""
+    if min(map(min, streams)) >= 0 and max(map(max, streams)) < order:
+        return None
+    for s, stream in enumerate(streams):
+        for i, v in enumerate(stream):
+            if not 0 <= v < order:
+                return s, i, v
 
 
 def _low_bit_cell_probs(order: int, bits: int = 2) -> list[float]:

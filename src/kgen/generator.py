@@ -102,11 +102,20 @@ class HornerGenerator:
         return horner_eval(self.h, x)
 
     def emit_batch(self, count: int) -> list[int]:
-        if count > self.descriptor.period - self._pos:
-            raise PeriodExhausted(
-                f"{count} values requested, {self.descriptor.period - self._pos} remain"
-            )
-        return [self.emit() for _ in range(count)]
+        if count > self.remaining:
+            raise PeriodExhausted(f"{count} values requested, {self.remaining} remain")
+        f = self.field
+        xs = [f.element_at(i) for i in range(self._pos, self._pos + count)]
+        self._pos += count
+        mul, add = f.mul, f.add
+        top, rest = self.h.coeffs[-1], self.h.coeffs[-2::-1]
+        out = []
+        for x in xs:
+            acc = top
+            for c in rest:
+                acc = add(mul(acc, x), c)
+            out.append(acc)
+        return out
 
 
 class _BlockStream:

@@ -1,13 +1,15 @@
 import random
+from itertools import combinations, islice, product
 
 import pytest
 
 from kgen.analysis import (
+    POSITION_SUBSET_CAP,
     IndependenceReport,
     chi_square_screen,
     exhaustive_independence_check,
 )
-from kgen.errors import GuardExceeded
+from kgen.errors import ConfigError, GuardExceeded
 from kgen.expander import (
     BipartiteGraph,
     all_small_row_subsets_independent,
@@ -17,8 +19,54 @@ from kgen.field import Gf2w, Gfp
 from kgen.generator import HornerGenerator, build_expander_generator
 
 
+TINY_FIELDS = [Gfp(2), Gfp(3), Gfp(5), Gfp(7), Gf2w(2), Gf2w(3)]
+
+
 def horner_factory(field, k):
     return lambda seed: HornerGenerator(field, k, seed)
+
+
+def _reference_check(make_generator, field, seed_len, k, n,
+                     max_position_subsets=POSITION_SUBSET_CAP):
+    """Oracle for exhaustive_independence_check: a tuple-keyed dict of
+    counts per position subset, after the range rule (a value outside
+    [0, |F|) fails before any subset is counted)."""
+    order = field.order
+    streams = [make_generator(seed).emit_batch(n)
+               for seed in product(range(order), repeat=seed_len)]
+    for s, stream in enumerate(streams):
+        for i, v in enumerate(stream):
+            if not 0 <= v < order:
+                return IndependenceReport(
+                    "exact-fail", k, 0, 0.0,
+                    detail=f"value={v} not in [0, {order}) seed_index={s}"
+                           f" position={i}",
+                )
+    n_seeds = len(streams)
+    examined = 0
+    worst = 0.0
+    tuple_count = order ** k
+    for subset in islice(combinations(range(n), k), max_position_subsets):
+        examined += 1
+        counts: dict[tuple, int] = {}
+        for stream in streams:
+            key = tuple(stream[i] for i in subset)
+            counts[key] = counts.get(key, 0) + 1
+        expected = n_seeds / tuple_count
+        dev = max(
+            (abs(c - expected) for c in counts.values()), default=expected
+        )
+        if len(counts) < tuple_count:
+            dev = max(dev, expected)  # some tuple never occurred
+        worst = max(worst, dev)
+        if any(c * tuple_count != n_seeds for c in counts.values()) or (
+            len(counts) != tuple_count
+        ):
+            return IndependenceReport(
+                "exact-fail", k, examined, worst,
+                detail=f"subset={subset} tuples={len(counts)}/{tuple_count}",
+            )
+    return IndependenceReport("exact-pass", k, examined, worst)
 
 
 def test_horner_gf3_k2_exact_pass_all_pairs():
@@ -42,8 +90,7 @@ def test_horner_gf5_k3_exact_pass():
     assert r.positions_examined == 10
 
 
-@pytest.mark.parametrize("field", [Gfp(2), Gfp(3), Gfp(5), Gfp(7),
-                                   Gf2w(2), Gf2w(3)])
+@pytest.mark.parametrize("field", TINY_FIELDS)
 def test_horner_exact_pass_every_tiny_field(field):
     for k in (1, 2, 3):
         if k > field.order:
@@ -53,14 +100,17 @@ def test_horner_exact_pass_every_tiny_field(field):
         assert r.verdict == "exact-pass", (field, k)
 
 
+class Const:
+    def __init__(self, values):
+        self.values = values
+
+    def emit_batch(self, n):
+        return list(self.values[:n])
+
+
 def test_constant_generator_fails_k1():
     f = Gfp(3)
-
-    class Const:
-        def emit_batch(self, n):
-            return [2] * n
-
-    r = exhaustive_independence_check(lambda seed: Const(), f, 1, 1, 3)
+    r = exhaustive_independence_check(lambda seed: Const([2] * 3), f, 1, 1, 3)
     assert r.verdict == "exact-fail"
 
 
@@ -95,28 +145,113 @@ def sampled_passing_graph(c, m, d, k, seed=0):
             return g
 
 
-def test_expander_generator_exact_pass_and_fail_directions():
+def expander_check_args(duplicate_row: bool):
+    """Arguments of an exhaustive check of a (2, 4, 2) expander over GF(16),
+    on a graph that passes the row-subset check or on one whose first two
+    rows are the same (the pair XORs to zero)."""
     f = Gf2w(4)
     g = sampled_passing_graph(2, 4, 2, 2)
+    if duplicate_row:
+        rows = list(g.adjacency)
+        rows[1] = rows[0]
+        g = BipartiteGraph(2, 4, 2, tuple(rows))
     gen = build_expander_generator(f, 2, 2, 4, 2, inner_kind="horner",
                                    rng=random.Random(1), graph=g)
-    r = exhaustive_independence_check(
-        lambda s: gen.fork(s), f, gen.descriptor.seed_len, 2, 8,
-        max_position_subsets=28,
-    )
+    return (gen.fork, f, gen.descriptor.seed_len, 2, 8), g
+
+
+def test_expander_generator_exact_pass_and_fail_directions():
+    args, _ = expander_check_args(duplicate_row=False)
+    r = exhaustive_independence_check(*args, max_position_subsets=28)
     assert r.verdict == "exact-pass"
 
-    rows = list(g.adjacency)
-    rows[1] = rows[0]  # duplicated row: the pair XORs to zero
-    bad = BipartiteGraph(2, 4, 2, tuple(rows))
+    args, bad = expander_check_args(duplicate_row=True)
     assert not all_small_row_subsets_independent(bad, 2)
-    genb = build_expander_generator(f, 2, 2, 4, 2, inner_kind="horner",
-                                    rng=random.Random(1), graph=bad)
-    r = exhaustive_independence_check(
-        lambda s: genb.fork(s), f, genb.descriptor.seed_len, 2, 8,
-        max_position_subsets=28,
-    )
+    r = exhaustive_independence_check(*args, max_position_subsets=28)
     assert r.verdict == "exact-fail"
+
+
+def _corrupt_one_value(value):
+    """Horner k=2 over GF(5) with position 3 of seed (2, 1) set to value."""
+    f = Gfp(5)
+
+    def make(seed):
+        gen = HornerGenerator(f, 2, seed)
+        if seed != (2, 1):
+            return gen
+        values = gen.emit_batch(5)
+        values[3] = value
+        return Const(values)
+
+    return make, f, 2, 2, 5
+
+
+def _late_failing_subset():
+    """Horner k=2 over GF(5) with position 4 a copy of position 3: the
+    pair (3, 4), the last of the ten, is the only one that fails."""
+    f = Gfp(5)
+
+    def make(seed):
+        values = HornerGenerator(f, 2, seed).emit_batch(5)
+        values[4] = values[3]
+        return Const(values)
+
+    return make, f, 2, 2, 5
+
+
+ORACLE_CASES = [
+    *(pytest.param((horner_factory(f, k), f, k, k, f.order), {},
+                   id=f"horner-order{f.order}-{type(f).__name__}-k{k}")
+      for f in TINY_FIELDS for k in (1, 2, 3) if k <= f.order),
+    pytest.param((horner_factory(Gfp(3), 2), Gfp(3), 2, 3, 3), {},
+                 id="underseeded-k3"),
+    pytest.param((lambda seed: Const([2] * 3), Gfp(3), 1, 1, 3), {},
+                 id="constant"),
+    pytest.param(lambda: expander_check_args(True)[0],
+                 {"max_position_subsets": 28}, id="expander-duplicated-row"),
+    pytest.param((horner_factory(Gfp(5), 2), Gfp(5), 2, 2, 5),
+                 {"max_position_subsets": 3}, id="subset-prefix"),
+    pytest.param(_late_failing_subset, {}, id="late-failing-subset"),
+    # value 4 never occurs: its count, 0, lies further from 5 than the top count, 7
+    pytest.param((lambda seed: Const([(seed[0] + seed[1]) % 4]), Gfp(5), 2, 1, 1),
+                 {}, id="missing-value"),
+    pytest.param((lambda seed: Const([2**64 - 1, 0, 2**64 - 1]), Gf2w(64), 0, 2, 3),
+                 {}, id="seedless-gf2w64"),
+    *(pytest.param(lambda v=v: _corrupt_one_value(v), {}, id=f"out-of-range-{v}")
+      for v in (5, -1, 2**64)),
+]
+
+
+@pytest.mark.parametrize("args,kwargs", ORACLE_CASES)
+def test_check_equals_dict_counting_reference(args, kwargs):
+    if callable(args):
+        args = args()
+    assert exhaustive_independence_check(*args, **kwargs) == \
+        _reference_check(*args, **kwargs)
+
+
+def test_check_reports_what_fails():
+    late = exhaustive_independence_check(*_late_failing_subset())
+    assert late == IndependenceReport("exact-fail", 2, 10, 4.0,
+                                      detail="subset=(3, 4) tuples=5/25")
+    seedless = exhaustive_independence_check(
+        lambda seed: Const([7, 7, 7]), Gf2w(64), 0, 3, 3)
+    assert seedless.verdict == "exact-fail"
+    assert seedless.positions_examined == 1
+    assert seedless.detail == f"subset=(0, 1, 2) tuples=1/{2**192}"
+    bad = exhaustive_independence_check(*_corrupt_one_value(5))
+    assert bad == IndependenceReport(
+        "exact-fail", 2, 0, 0.0,
+        detail="value=5 not in [0, 5) seed_index=11 position=3")
+
+
+@pytest.mark.parametrize("k,n,cap", [(3, 2, POSITION_SUBSET_CAP), (2, 5, 0),
+                                     (0, 5, POSITION_SUBSET_CAP)])
+def test_vacuous_check_refused(k, n, cap):
+    f = Gfp(5)
+    with pytest.raises(ConfigError, match="would examine no"):
+        exhaustive_independence_check(horner_factory(f, 2), f, 2, k, n,
+                                      max_position_subsets=cap)
 
 
 def test_report_line_format():

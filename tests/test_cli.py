@@ -213,6 +213,15 @@ def test_verify_pass_fail_guard_exit_codes(capsys):
     assert code == 3 and "guard" in err
 
 
+@pytest.mark.parametrize("extra", [["--n", "2"], ["--max-positions", "0"]])
+def test_verify_refuses_vacuous_check(extra, capsys):
+    code, out, err = run_cli(
+        ["verify", "--field", "gfp:5", "--kind", "horner", "--k", "3", *extra],
+        capsys)
+    assert code == 2 and out == ""
+    assert "would examine no 3-subset" in err
+
+
 def test_verify_expander(capsys):
     code, out, _ = run_cli(
         ["verify", "--field", "gf2w:4", "--kind", "expander", "--k", "2",

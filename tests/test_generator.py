@@ -50,6 +50,26 @@ def test_horner_descriptor_and_exhaustion():
         g2.emit_batch(6)
 
 
+@pytest.mark.parametrize("field", [Gfp(5), Gf2w(3)])
+def test_horner_emit_batch_equals_emit(field):
+    rng = random.Random(5)
+    order = field.order
+    for k in (1, 2, 3):
+        seed = [field.random_element(rng) for _ in range(k)]
+        one = HornerGenerator(field, k, seed)
+        want = [one.emit() for _ in range(order)]
+        g = HornerGenerator(field, k, seed)
+        got = g.emit_batch(2) + [g.emit()] + g.emit_batch(0) + g.emit_batch(order - 3)
+        assert got == want and g.remaining == 0
+        with pytest.raises(PeriodExhausted):
+            g.emit_batch(1)
+        g = HornerGenerator(field, k, seed)
+        assert g.emit_batch(1) == want[:1]
+        with pytest.raises(PeriodExhausted):
+            g.emit_batch(order)  # one more than remains: nothing is consumed
+        assert g.emit_batch(order - 1) == want[1:]
+
+
 def test_horner_rejections():
     with pytest.raises(ConfigError):
         HornerGenerator(Gfp(5), 6, [0] * 6)  # k > |F|
