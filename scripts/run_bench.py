@@ -14,12 +14,14 @@ import sys
 from kgen.cli import main
 
 max_e = int(sys.argv[1]) if len(sys.argv) > 1 else 9
+# fft-batch against horner from k=4, where one batch is a handful of values
+fft_ks = ",".join(str(1 << e) for e in range(2, max_e + 1))
 ks = ",".join(str(1 << e) for e in range(5, max_e + 1))
 
 rc = main([
     "bench",
     "--field", "gf2w:64",
-    "--k", ks,
+    "--k", fft_ks,
     "--kinds", "horner,fft-batch",
     "--values", "256",
     "--reps", "3",

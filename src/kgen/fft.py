@@ -4,9 +4,14 @@ Two engines:
 
 * an additive FFT over GF(2^w) that evaluates on an affine F_2-subspace
   (Taylor expansion at x^2 - x, two half-size transforms per level; Gao and
-  Mateer, IEEE Trans. IT 2010).  `evaluate_vec` runs it on uint64 lanes, a
-  level at a time, with the plan's fixed multipliers precomputed; the scalar
-  recursion `evaluate` is its oracle and keeps the operation counts; and
+  Mateer, IEEE Trans. IT 2010).  On uint64 lanes it runs as two passes, a
+  level at a time: `top_down` (twists, Taylor expansion, even/odd split) does
+  not depend on the shift, so a caller evaluating one polynomial on many
+  cosets runs it once; `bottom_up` (the butterflies) takes the shift only
+  through one multiplier u_d per level, which is F_2-linear in the shift,
+  and evaluates many cosets in one call.  `evaluate_vec` is the two passes
+  for one coset; the scalar recursion `evaluate` is their oracle and keeps
+  the operation counts; and
 * a multiplicative-coset DFT over GF(p) that walks the cosets
   omega^j * <omega_k>, which partition F_p^* exactly.  For p < 2^32 a numpy
   transform evaluates a whole coset at once; the scalar radix-2 DFT is its
@@ -16,6 +21,7 @@ Two engines:
 from __future__ import annotations
 
 import copy
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +44,12 @@ def _gf2_rank(words: Sequence[int]) -> int:
     return len(basis)
 
 
+# bottom_up over w > 16 builds a table per batch and column (256 XORs) where
+# at least this many rows share its multiplier; below, a second product is
+# cheaper and needs no table of that size.
+_XOR_ROWS = 4
+
+
 class _Level:
     __slots__ = ("lam", "inv_lam", "twists", "combos")
 
@@ -56,11 +68,13 @@ class AdditiveFftPlan:
     shift + sum_i bit_i(b) * beta_{i+1}.  Defaults to the monomial basis
     1, x, x^2, ...
 
-    Besides the scalar levels, the plan holds the fixed multipliers of
-    `evaluate_vec`: over w <= 16 the twists' discrete logs, else one nibble
-    table of 16*ceil(w/4) words per twist and combo, about 2^(s+1) of them,
-    and per unit multiplier q*X^(4j) (1.5 MiB at w=64, s=8; the twist and
-    combo part doubles with each step of s).
+    Besides the scalar levels, the plan holds the fixed multipliers of the
+    lane passes, built at the first lane pass: over w <= 16 the twists'
+    discrete logs, else one nibble table of 16*ceil(w/4) words per twist
+    and combo, about 2^(s+1) of them (1 MiB at w=64, s=8, doubling with
+    each step of s).  The u_d of the shifts 1 << b (or their nibble tables,
+    s*2 KiB per bit at w=64) are added on first use, for the bits the
+    shifts reach.
     """
 
     def __init__(self, field: Gf2w, s: int, basis: Sequence[int] | None = None):
@@ -100,40 +114,33 @@ class AdditiveFftPlan:
                 combos[b] = combos[b ^ low] ^ norm[1 + low.bit_length() - 1]
             self.levels.append(_Level(lam, inv_lam, twists, combos))
             cur = [field.add(field.mul(g, g), g) for g in norm[1:]]
-        self._build_lanes()
+        # the _shift_operands row of shift 0; _shift_units adds the rows of
+        # the shift bits on first use
+        tail = () if field.has_log_tables else ((field.w + 3) // 4, 16)
+        self._units = np.zeros((1, s) + tail, dtype=np.uint64)
 
-    def _build_lanes(self):
-        """The fixed multipliers of evaluate_vec, per level: the twists as
-        discrete logs (w <= 16) or nibble tables, and the combos as arrays
-        (w <= 16) or nibble tables.  Over w > 16 the plan also holds the
-        tables of the unit multipliers q*X^(4j), from which a per-call
-        multiplier's table is one gather.  All nibble tables come from one
-        nibble_tables call; they are immutable and shared by every caller."""
+    @functools.cached_property
+    def _lanes(self) -> tuple[list, list]:
+        """The fixed multipliers of top_down and bottom_up, per level, built
+        at their first use (a plan that only serves `evaluate` or `points`
+        never builds them): the twists as discrete logs (w <= 16) or nibble
+        tables, and the combos as arrays (w <= 16) or nibble tables.  All
+        nibble tables come from one nibble_tables call; they are immutable
+        and shared by every caller."""
         f = self.field
         if f.has_log_tables:
-            self._twist_lanes = [
-                None if l.twists is None else f.lane_logs(np.array(l.twists, dtype=np.uint64))
-                for l in self.levels]
-            self._combo_lanes = [np.array(l.combos, dtype=np.uint64) for l in self.levels]
-            return
-        nq = (f.w + 3) // 4
+            twists = [None if l.twists is None else f.lane_logs(np.array(l.twists, dtype=np.uint64))
+                      for l in self.levels]
+            return twists, [np.array(l.combos, dtype=np.uint64) for l in self.levels]
         consts = [l.twists for l in self.levels if l.twists is not None]
         consts += [l.combos for l in self.levels]
-        consts.append([(q << 4 * j) & f.mask for j in range(nq) for q in range(16)])
         tables = f.nibble_tables([t for c in consts for t in c])
-        *views, units = np.split(tables, np.cumsum([len(c) for c in consts])[:-1])
-        self._unit_tables = units.reshape(nq, 16, nq, 16)
-        views = iter(views)
-        self._twist_lanes = [None if l.twists is None else next(views) for l in self.levels]
-        self._combo_lanes = [next(views) for _ in self.levels]
+        views = iter(np.split(tables, np.cumsum([len(c) for c in consts])[:-1]))
+        twists = [None if l.twists is None else next(views) for l in self.levels]
+        return twists, [next(views) for _ in self.levels]
 
-    def _tables_of(self, consts: list[int]) -> np.ndarray:
-        """nibble_tables of the given multipliers from the unit tables: the
-        table of t is the XOR over j of the tables of nibble_j(t) * X^(4j)."""
-        nq = self._unit_tables.shape[0]
-        nibbles = (np.array(consts, dtype=np.uint64)[:, None]
-                   >> np.arange(0, 4 * nq, 4, dtype=np.uint64)) & np.uint64(15)
-        return np.bitwise_xor.reduce(self._unit_tables[np.arange(nq), nibbles], axis=1)
+    _twist_lanes = property(lambda self: self._lanes[0])
+    _combo_lanes = property(lambda self: self._lanes[1])
 
     def points(self, shift: int = 0) -> list[int]:
         """The evaluation points in output order."""
@@ -156,17 +163,21 @@ class AdditiveFftPlan:
         return self._eval(0, c, shift)
 
     def evaluate_vec(self, coeffs: np.ndarray, shift: int = 0) -> np.ndarray:
-        """evaluate on uint64 lanes; bit-identical to the scalar recursion.
+        """evaluate on uint64 lanes; bit-identical to the scalar recursion:
+        one `top_down` pass of the coefficients, one `bottom_up` pass at
+        the shift."""
+        self.field.validate(shift)
+        return self.bottom_up(self.top_down(coeffs), [shift])[0]
 
-        At depth d all 2^d sub-problems share the level's twists, combos and
-        shift, so the recursion runs as two passes over the (2^d, n/2^d)
-        view of one array.  Top-down: twist, Taylor-expand (two slice XORs
-        per block size) and split even/odd coefficients into consecutive
-        rows.  Bottom-up: the butterflies e = g0 + (u_d + combos[b]) g1 and
-        out = [e, e + g1], interleaved.  Products take the field's log
-        tables for w <= 16, else the plan's nibble tables; the per-call
-        multipliers u_d get tables of their own, XORed into the combos'
-        (the tables are linear in the multiplier).
+    def top_down(self, coeffs: np.ndarray) -> np.ndarray:
+        """The shift-independent half of evaluate_vec, a fixed linear map of
+        the coefficients: its result serves every shift of `bottom_up`.
+
+        At depth d all 2^d sub-problems share the level's twists, so the
+        recursion runs over the (2^d, n/2^d) view of one array: twist,
+        Taylor-expand (two slice XORs per block size) and split even/odd
+        coefficients into consecutive rows.  Products take the field's log
+        tables for w <= 16, else the plan's nibble tables.
         """
         f = self.field
         n = self.size
@@ -174,18 +185,15 @@ class AdditiveFftPlan:
             raise FieldError(
                 f"polynomial of length {coeffs.shape[0]} exceeds transform size {n}"
             )
-        f.validate(shift)
-        logs = f.has_log_tables
+        twists = self._twist_lanes
         x = np.zeros(n, dtype=np.uint64)
         x[:coeffs.shape[0]] = coeffs
-        us = []
         for d, lvl in enumerate(self.levels):
             m = n >> d
             if lvl.lam != 1:
-                shift = f.mul(shift, lvl.inv_lam)
-                tw = self._twist_lanes[d]
+                tw = twists[d]
                 rows = x.reshape(-1, m)
-                x = (f.lane_exp(f.lane_logs(rows) + tw) if logs
+                x = (f.lane_exp(f.lane_logs(rows) + tw) if f.has_log_tables
                      else f.mul_lanes(tw, rows)).reshape(n)
             size = m
             while size > 2:
@@ -194,24 +202,95 @@ class AdditiveFftPlan:
                 v[:, half:half + q] ^= v[:, half + q:]
                 v[:, q:half] ^= v[:, half:half + q]
                 size = half
-            us.append(shift)
-            shift = f.mul(shift, shift) ^ shift
             x = x.reshape(-1, m >> 1, 2).transpose(0, 2, 1).reshape(n)
-        if not logs and us:
-            u_tables = self._tables_of(us)
+        return x
+
+    def bottom_up(self, x: np.ndarray, shifts: Sequence[int]) -> np.ndarray:
+        """The shift-dependent half of evaluate_vec, for B shifts at once:
+        `x` is one `top_down` result; returns the (B, 2^s) evaluations, row
+        b on the subspace shifted by shifts[b].
+
+        From the deepest level up, over the (B, 2^d, 2, n/2^(d+1)) view:
+        the butterflies e = g0 + (u_d + combos[i]) g1 and out = [e, e + g1],
+        interleaved; u_d is the only term that depends on the shift.  Over
+        w <= 16 the multipliers' logs are taken per batch and column.  Over
+        w > 16 a product is linear in its multiplier: where at least
+        _XOR_ROWS rows share a multiplier, u_d's table is XORed into the
+        combos' tables, else the product is combos[i] g1 + u_d g1, which
+        keeps the tables built per call small.
+        """
+        f = self.field
+        n = self.size
+        combos = self._combo_lanes
+        ops = self._shift_operands(shifts)
+        batches = ops.shape[0]
+        logs = f.has_log_tables
+        x = x.reshape(1, n)
         for d in reversed(range(self.s)):
             half = n >> (d + 1)
-            y = x.reshape(-1, 2, half)
-            g0, g1 = y[:, 0], y[:, 1]
+            y = x.reshape(x.shape[0], -1, 2, half)
+            g0, g1 = y[:, :, 0], y[:, :, 1]
             if logs:
-                prod = f.lane_exp(f.lane_logs(g1) + f.lane_logs(self._combo_lanes[d] ^ us[d]))
+                mult = f.lane_logs(combos[d] ^ ops[:, d, None])
+                prod = f.lane_exp(f.lane_logs(g1) + mult[:, None])
+            elif y.shape[1] >= _XOR_ROWS:
+                tables = combos[d] ^ ops[:, d, None]
+                prod = f.mul_lanes(tables[:, None], g1)
             else:
-                prod = f.mul_lanes(self._combo_lanes[d] ^ u_tables[d], g1)
-            out = np.empty((y.shape[0], half, 2), dtype=np.uint64)
-            np.bitwise_xor(g0, prod, out=out[:, :, 0])
-            np.bitwise_xor(out[:, :, 0], g1, out=out[:, :, 1])
-            x = out.reshape(n)
+                prod = f.mul_lanes(combos[d], g1)
+                prod = prod ^ f.mul_lanes(ops[:, d, None, None], g1)
+            out = np.empty((batches, y.shape[1], half, 2), dtype=np.uint64)
+            np.bitwise_xor(g0, prod, out=out[..., 0])
+            np.bitwise_xor(out[..., 0], g1, out=out[..., 1])
+            x = out.reshape(batches, n)
+        if x.shape[0] != batches:  # s = 0: the constant term in every batch
+            x = np.repeat(x, batches, axis=0)
         return x
+
+    def _shift_operands(self, shifts: Sequence[int]) -> np.ndarray:
+        """The multipliers u_d that each shift contributes at depth d, shape
+        (B, s), or over w > 16 their nibble tables, (B, s, ceil(w/4), 16).
+
+        u_0 is the shift over lambda_0 and u_(d+1) is (u_d^2 + u_d) over
+        lambda_(d+1), so u_d, and its table, is F_2-linear in the shift: a
+        row is the previous shift's row XOR the rows of the bits that
+        change (one bit between Gray-coded shifts)."""
+        units = self._shift_units(max(shifts).bit_length())
+        out = np.empty((len(shifts),) + units.shape[1:], dtype=np.uint64)
+        row, prev = units[0], 0
+        for i, shift in enumerate(shifts):
+            delta = shift ^ prev
+            while delta:
+                low = delta & -delta
+                row = row ^ units[low.bit_length()]
+                delta ^= low
+            out[i] = row
+            prev = shift
+        return out
+
+    def _shift_units(self, nbits: int) -> np.ndarray:
+        """_shift_operands rows of the shifts 0 and 1 << b, b < nbits, at
+        rows 0 and b + 1; grown on demand and shared by every caller.  Each
+        version of the array is a prefix of the same rows, so callers that
+        grow it at once only repeat work."""
+        f = self.field
+        units = self._units
+        have = units.shape[0] - 1
+        if nbits > have:
+            rows = []
+            for b in range(have, nbits):
+                u, row = 1 << b, []
+                for lvl in self.levels:
+                    if lvl.lam != 1:
+                        u = f.mul(u, lvl.inv_lam)
+                    row.append(u)
+                    u = f.mul(u, u) ^ u
+                rows.append(row)
+            new = np.array(rows, dtype=np.uint64).reshape(len(rows), self.s)
+            if not f.has_log_tables:
+                new = f.nibble_tables(new.reshape(-1)).reshape(new.shape + units.shape[2:])
+            units = self._units = np.concatenate([units, new])
+        return units
 
     def _eval(self, depth: int, c: list[int], shift: int) -> list[int]:
         f = self.field

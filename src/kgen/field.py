@@ -379,11 +379,11 @@ class Gf2w:
 
     def lane_logs(self, a: np.ndarray) -> np.ndarray:
         """Discrete logs of uint64 lanes (w <= 16); zero maps to 2*(2^w-1)."""
-        return self._log_vec[a]
+        return self._log_vec.take(a)
 
     def lane_exp(self, e: np.ndarray) -> np.ndarray:
         """gen^e for e a sum of two lane_logs; 0 when either log was zero's."""
-        return self._exp_vec[e]
+        return self._exp_vec.take(e)
 
     def nibble_tables(self, consts) -> np.ndarray:
         """Tables of the F_2-linear maps a -> t*a, one per multiplier t in
@@ -403,14 +403,16 @@ class Gf2w:
         return tables
 
     def mul_lanes(self, tables: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Products of uint64 lanes a (shape (..., L)) with the multipliers
-        whose nibble_tables are `tables` (shape (L, ceil(w/4), 16)), lane l
-        by multiplier l: one gather over the nibble indices of a, then an
-        XOR over the nibbles.  A single table broadcasts over all lanes."""
-        nq = tables.shape[1]
+        """Products of uint64 lanes a with the multipliers whose
+        nibble_tables are `tables` (shape (*M, ceil(w/4), 16), M
+        broadcasting against a's shape), lane by lane: one gather over the
+        nibble indices of a, then an XOR over the nibbles.  M = (L,)
+        multiplies the last axis lane l by multiplier l; a single table
+        broadcasts over all lanes."""
+        nq = tables.shape[-2]
         shifts = np.arange(0, 4 * nq, 4, dtype=np.uint64)
         idx = (a[..., None] >> shifts) & np.uint64(15)
-        idx += np.arange(0, tables.size, 16, dtype=np.uint64).reshape(-1, nq)
+        idx = idx + np.arange(0, tables.size, 16, dtype=np.uint64).reshape(tables.shape[:-1])
         return np.bitwise_xor.reduce(tables.reshape(-1).take(idx), axis=-1)
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

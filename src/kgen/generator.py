@@ -18,10 +18,12 @@ sampled kinds declare the union-bound failure probability of their graphs.
 fft-batch, expander and cascade share one block cursor (`_BlockStream`):
 a refill computes a whole block as a uint64 array, `fill(n)` hands out
 slices of it, and `emit` and `emit_batch` read from it as Python ints.  An
-fft-batch block is one batch transform; an expander or cascade block is the
-c*m outputs of one gather, where `BipartiteGraph.row_sums` gathers the right
-table column by column and reduces by XOR over GF(2^w) or modular addition
-over GF(p).  `stream_chunks` takes a stream in chunks of 2^16 values, which
+fft-batch block over GF(2^w) is the batches one request spans, in one
+bottom-up transform pass (a GF(p) block is one coset); an expander or
+cascade block is the c*m outputs of one gather, where
+`BipartiteGraph.row_sums` gathers the right table column by column and
+reduces by XOR over GF(2^w) or modular addition over GF(p).
+`stream_chunks` takes a stream in chunks of 2^16 values, which
 `write_stream` serializes with one `tobytes` each.
 """
 
@@ -119,9 +121,11 @@ class HornerGenerator:
 
 
 class _BlockStream:
-    """Cursor over blocks of `_block_size` values that `_next_block()`
-    computes as uint64 arrays.  The blocks tile the period, so the period is
-    checked once, when a block is due."""
+    """Cursor over blocks of values that `_next_block(need)` computes as
+    uint64 arrays.  `need` is how many values the current request still
+    wants; a kind may compute that many in one block, or ignore it.  The
+    blocks tile the period, so the period is checked once, when a block is
+    due."""
 
     def _start(self):
         self._block: np.ndarray | None = None
@@ -132,10 +136,10 @@ class _BlockStream:
     def remaining(self) -> int:
         return self.descriptor.period - self._emitted
 
-    def _advance(self):
+    def _advance(self, need: int):
         if self._emitted >= self.descriptor.period:
             raise PeriodExhausted(f"period {self.descriptor.period} consumed")
-        block = self._next_block()
+        block = self._next_block(need)
         block.flags.writeable = False
         self._block = block
         self._cursor = 0
@@ -147,9 +151,9 @@ class _BlockStream:
             raise PeriodExhausted(f"{count} values requested, {self.remaining} remain")
         parts = []
         while count > 0:
-            if self._block is None or self._cursor >= self._block_size:
-                self._advance()
-            take = min(count, self._block_size - self._cursor)
+            if self._block is None or self._cursor >= len(self._block):
+                self._advance(count)
+            take = min(count, len(self._block) - self._cursor)
             parts.append(self._block[self._cursor:self._cursor + take])
             self._cursor += take
             self._emitted += take
@@ -159,8 +163,8 @@ class _BlockStream:
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
 
     def emit(self) -> int:
-        if self._block is None or self._cursor >= self._block_size:
-            self._advance()
+        if self._block is None or self._cursor >= len(self._block):
+            self._advance(1)
         v = self._block[self._cursor]
         self._cursor += 1
         self._emitted += 1
@@ -170,17 +174,25 @@ class _BlockStream:
         return self.fill(count).tolist()
 
 
+# Most values one GF(2^w) fft-batch block computes (at least one batch): it
+# bounds the lanes, and the per-batch multiplier tables, of one bottom-up pass.
+_LANE_CAP = 1 << 9
+
+
 class FftBatchGenerator(_BlockStream):
-    """Evaluates the seed polynomial one structured batch at a time; each
-    batch is one block.
+    """Evaluates the seed polynomial one structured batch at a time.
 
     Over GF(2^w) the batches are the affine subspaces W, W+delta_1, ... that
     cover the whole field, enumerated by Gray-coded coset representatives;
-    period 2^w.  A batch is one `AdditiveFftPlan.evaluate_vec`.  Over GF(p)
-    the batches are the multiplicative cosets omega^j * <omega_k>, which
-    cover F_p^* exactly; period p-1.  A batch is one
-    `CosetDftPlan.evaluate_coset_vec` for p < 2^32, else the scalar
-    `evaluate_coset`.  `fork` shares the plan's immutable tables.
+    period 2^w.  The seed's `AdditiveFftPlan.top_down` pass does not depend
+    on the batch: it runs once per seed, at the first batch, and is kept.
+    A block is then the batches that one `fill`/`emit_batch` request spans
+    (one for `emit`, at most _LANE_CAP values), evaluated by one
+    `bottom_up` pass.  Over GF(p) the batches are the multiplicative
+    cosets omega^j * <omega_k>, which cover F_p^* exactly; period p-1.  A
+    block is one coset: one `CosetDftPlan.evaluate_coset_vec` for
+    p < 2^32, else the scalar `evaluate_coset`.  `fork` shares the plan's
+    immutable tables.
     """
 
     def __init__(self, field, k: int, seed, omega: int | None = None):
@@ -204,13 +216,14 @@ class FftBatchGenerator(_BlockStream):
             period = field.p - 1
         else:
             raise ConfigError(f"unsupported field context {field!r}")
-        self.batch_size = self._block_size = 1 << max(0, (k - 1).bit_length())
+        self.batch_size = 1 << max(0, (k - 1).bit_length())
         self.descriptor = GeneratorDescriptor("fft-batch", field, k, period, 0.0, k)
         self._reseed(seed)
 
     def _reseed(self, seed):
         self.seed = _check_seed(self.field, seed, self.descriptor.k)
         self._coeffs_vec = np.array(self.seed, dtype=np.uint64)
+        self._top = None  # the seed's top-down pass, from the first batch on
         self._next_batch = 0
         self._start()
 
@@ -221,11 +234,17 @@ class FftBatchGenerator(_BlockStream):
         gen._reseed(seed)
         return gen
 
-    def _next_block(self) -> np.ndarray:
+    def _next_block(self, need: int) -> np.ndarray:
         j = self._next_batch
-        self._next_batch = j + 1
         if isinstance(self._plan, AdditiveFftPlan):
-            return self._plan.evaluate_vec(self._coeffs_vec, self._gray_shift(j))
+            if self._top is None:
+                self._top = self._plan.top_down(self._coeffs_vec)
+            size = self.batch_size
+            count = min(-(-need // size), max(1, _LANE_CAP // size))
+            self._next_batch = j + count
+            shifts = [self._gray_shift(i) for i in range(j, j + count)]
+            return self._plan.bottom_up(self._top, shifts).reshape(-1)
+        self._next_batch = j + 1
         if j > 0:
             self._plan.advance_coset()
         if self.field.p < 1 << 32:
@@ -286,7 +305,7 @@ class ExpanderGenerator(_BlockStream):
             self.inner.fork(seed), self.descriptor.delta,
         )
 
-    def _next_block(self) -> np.ndarray:
+    def _next_block(self, need: int) -> np.ndarray:
         return self.graph.row_sums(self.field, self.inner.emit_batch(self.graph.m))
 
 
@@ -334,7 +353,7 @@ class CascadeGenerator(_BlockStream):
             self.base.fork(seed), self.descriptor.delta,
         )
 
-    def _next_block(self) -> np.ndarray:
+    def _next_block(self, need: int) -> np.ndarray:
         values = self.base.emit_batch(self._m0)
         for g in self.graphs:
             values = g.row_sums(self.field, values)

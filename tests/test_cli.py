@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from kgen.cli import main
+from kgen.field import parse_field_spec
 
 
 def run_cli(args, capsys):
@@ -88,6 +89,26 @@ def test_gen_entropy_runs_and_differs(capsys):
         ["gen", "--field", "gfp:257", "--kind", "horner", "--k", "2",
          "--seed", seed, "--count", "3"], capsys)
     assert out3.splitlines() == out1.splitlines()[1:]
+
+
+@pytest.mark.parametrize("field,k,count", [
+    ("gf2w:64", 256, 5 * 512 + 300),  # several multi-batch blocks, ends mid-batch
+    ("gfp:257", 16, 7 * 16 + 9),
+])
+def test_gen_fft_batch_entropy_replays_from_header(field, k, count, tmp_path):
+    def gen(out, *seed_args):
+        argv = ["gen", "--field", field, "--kind", "fft-batch", "--k", str(k),
+                "--format", "bin", "--count", str(count), "--out", str(out), *seed_args]
+        assert main(argv) == 0
+        return out.read_bytes()
+
+    first = gen(tmp_path / "a.bin", "--entropy", "--header")
+    header, _, body = first.partition(b"\n")
+    assert header.startswith(f"# kind=fft-batch field={field} k={k}".encode())
+    assert len(body) == count * parse_field_spec(field).elem_bytes
+    seed = header.decode().split("seed=")[1].split()[0]
+    assert gen(tmp_path / "b.bin", "--seed", seed) == body
+    assert gen(tmp_path / "c.bin", "--entropy") != body
 
 
 # `kgen gen --format hex|csv --header` output of each kind, pinned by sha256:

@@ -87,6 +87,37 @@ def test_additive_fft_vec_custom_basis(w, basis):
         got = plan.evaluate_vec(np.array(h.coeffs, dtype=np.uint64), shift).tolist()
         assert got == plan.evaluate(h.coeffs, shift)
         assert got == naive_multipoint(h, plan.points(shift))
+    # several shifts in one bottom-up pass, repeats and zero included
+    shifts = [0x11, f.mask, 0, f.random_element(rng), 0x11]
+    many = plan.bottom_up(plan.top_down(np.array(h.coeffs, dtype=np.uint64)), shifts)
+    for row, shift in zip(many.tolist(), shifts):
+        assert row == plan.evaluate(h.coeffs, shift)
+
+
+def _gray_shifts(w, s):
+    """Gray-coded coset representatives: runs from the first coset, across
+    a carry and up to the last coset, or every coset when there are few."""
+    cosets = 1 << (w - s)
+    js = range(cosets) if cosets <= 12 else [0, 1, 2, 3, 7, 8, 9] + list(range(cosets - 3, cosets))
+    return [(j ^ (j >> 1)) << s for j in js]
+
+
+@pytest.mark.parametrize("w", [1, 2, 8, 16, 24, 32, 48, 64])
+def test_additive_fft_bottom_up_many_shifts(w):
+    # one top_down pass, then the bottom-up pass for many shifts in one call
+    f = Gf2w(w)
+    rng = random.Random(300 + w)
+    for s in range(min(w, 8) + 1):
+        plan = AdditiveFftPlan(f, s)
+        h = random_polynomial(f, rng.randrange(1, (1 << s) + 1), rng)
+        coeffs = np.array(h.coeffs, dtype=np.uint64)
+        shifts = _gray_shifts(w, s) + [f.random_element(rng), f.mask, 0]
+        got = plan.bottom_up(plan.top_down(coeffs), shifts)
+        assert got.dtype == np.uint64 and got.shape == (len(shifts), 1 << s)
+        for row, shift in zip(got.tolist(), shifts):
+            assert row == plan.evaluate_vec(coeffs, shift).tolist(), (w, s, shift)
+        for i in (0, len(shifts) - 4):
+            assert got[i].tolist() == naive_multipoint(h, plan.points(shifts[i])), (w, s)
 
 
 def test_additive_fft_vec_tables_and_rejections():

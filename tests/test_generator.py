@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from kgen.expander import BipartiteGraph, sample_graph
 from kgen.fft import CosetDftPlan
 from kgen.field import Gf2w, Gfp, parse_field_spec
 from kgen.generator import (
+    _LANE_CAP,
     FftBatchGenerator,
     GeneratorDescriptor,
     HornerGenerator,
@@ -195,20 +197,96 @@ def test_fft_batch_fill_emit_and_emit_batch_agree(spec, k):
 def test_fft_batch_fork_shares_plan_data(spec, k):
     f = parse_field_spec(spec)
     rng = random.Random(k)
-    parent = FftBatchGenerator(f, k, [f.random_element(rng) for _ in range(k)])
-    parent.emit_batch(3 * k + 1)  # move the parent's coset cursor
+    parent_seed = [f.random_element(rng) for _ in range(k)]
+    parent = FftBatchGenerator(f, k, parent_seed)
+    # move the parent's coset cursor; over GF(2^w) this also runs and keeps
+    # the parent's top-down pass, which the fork must not inherit
+    head = parent.emit_batch(3 * k + 1)
     seed = [f.random_element(rng) for _ in range(k)]
     child = parent.fork(seed)
     omega = getattr(parent._plan, "omega", None)
     fresh = FftBatchGenerator(f, k, seed, omega)
     assert child.emit_batch(4 * k) == fresh.emit_batch(4 * k)
-    assert parent.emit_batch(k) != child.emit_batch(k)
+    tail = parent.emit_batch(k)
+    assert tail != child.emit_batch(k)
+    assert head + tail == FftBatchGenerator(f, k, parent_seed, omega).emit_batch(4 * k + 1)
     if spec.startswith("gfp"):
         assert child._plan is not parent._plan
         assert child._plan._vec_twiddles[0] is parent._plan._vec_twiddles[0]
         assert (parent._plan.j, child._plan.j) == (4, 4)
     else:
         assert child._plan is parent._plan
+
+
+@pytest.mark.parametrize("spec,k", [("gf2w:16", 4), ("gf2w:24", 8), ("gf2w:64", 256),
+                                    ("gf2w:64", 3)])
+def test_fft_batch_multi_batch_fill_spans(spec, k):
+    # fills that start and end mid-batch, and fills whose batches cross the
+    # lane cap, equal per-batch evaluate_vec and naive multipoint evaluation
+    f = parse_field_spec(spec)
+    rng = random.Random(k)
+    seed = [f.random_element(rng) for _ in range(k)]
+    gen = FftBatchGenerator(f, k, seed)
+    size = gen.batch_size
+    calls = []
+    bottom_up = gen._plan.bottom_up
+    gen._plan.bottom_up = lambda x, shifts: calls.append(len(shifts)) or bottom_up(x, shifts)
+    spans = [1, size - 1, 2 * size + 1, _LANE_CAP + size + 1, size // 2 + 1, 3 * _LANE_CAP]
+    got = []
+    for n in spans:
+        block = gen.fill(n)
+        assert block.dtype == np.uint64 and len(block) == n
+        got += block.tolist()
+    # a block is the batches the rest of a request spans, at most _LANE_CAP
+    # values (or one batch) of them, in one bottom-up call
+    cap, want_calls, left = max(1, _LANE_CAP // size), [], 0
+    for need in spans:
+        while need > left:
+            need -= left
+            want_calls.append(min(-(-need // size), cap))
+            left = want_calls[-1] * size
+        left -= need
+    assert calls == want_calls
+    batches = sum(calls)
+    coeffs = np.array(seed, dtype=np.uint64)
+    want = [gen._plan.evaluate_vec(coeffs, gen._gray_shift(j)).tolist() for j in range(batches)]
+    assert got == [v for batch in want for v in batch][:len(got)]
+    h = Polynomial(f, tuple(seed))
+    for j in (0, batches - 1):
+        assert want[j] == naive_multipoint(h, gen._plan.points(gen._gray_shift(j)))
+
+
+def test_fft_batch_period_exhausted_consumes_nothing():
+    f = Gf2w(8)
+    seed = list(range(1, 9))
+    gen, twin = FftBatchGenerator(f, 8, seed), FftBatchGenerator(f, 8, seed)
+    head = gen.fill(250).tolist()
+    for take in (lambda: gen.fill(7), lambda: gen.emit_batch(300)):
+        with pytest.raises(PeriodExhausted):
+            take()
+        assert gen.remaining == 6
+    assert head + gen.emit_batch(6) == twin.fill(256).tolist()
+
+
+@pytest.mark.parametrize("k", [256, 4])
+def test_fft_batch_write_stream_memory(k):
+    # one write_stream of 2^16 values, the plan's tables (1 MiB at k=256)
+    # built on the way: the lane cap bounds each block's temporaries
+    f = Gf2w(64)
+    rng = random.Random(k)
+    gen = FftBatchGenerator(f, k, [f.random_element(rng) for _ in range(k)])
+
+    class Sink:
+        def write(self, data):
+            pass
+
+    tracemalloc.start()
+    try:
+        assert write_stream(gen, Sink(), 1 << 16) == 1 << 16
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20, peak
 
 
 @given(st.integers(0, 2**32))
