@@ -44,12 +44,6 @@ def _gf2_rank(words: Sequence[int]) -> int:
     return len(basis)
 
 
-# bottom_up over w > 16 builds a table per batch and column (256 XORs) where
-# at least this many rows share its multiplier; below, a second product is
-# cheaper and needs no table of that size.
-_XOR_ROWS = 4
-
-
 class _Level:
     __slots__ = ("lam", "inv_lam", "twists", "combos")
 
@@ -139,9 +133,6 @@ class AdditiveFftPlan:
         twists = [None if l.twists is None else next(views) for l in self.levels]
         return twists, [next(views) for _ in self.levels]
 
-    _twist_lanes = property(lambda self: self._lanes[0])
-    _combo_lanes = property(lambda self: self._lanes[1])
-
     def points(self, shift: int = 0) -> list[int]:
         """The evaluation points in output order."""
         f = self.field
@@ -166,7 +157,6 @@ class AdditiveFftPlan:
         """evaluate on uint64 lanes; bit-identical to the scalar recursion:
         one `top_down` pass of the coefficients, one `bottom_up` pass at
         the shift."""
-        self.field.validate(shift)
         return self.bottom_up(self.top_down(coeffs), [shift])[0]
 
     def top_down(self, coeffs: np.ndarray) -> np.ndarray:
@@ -185,7 +175,7 @@ class AdditiveFftPlan:
             raise FieldError(
                 f"polynomial of length {coeffs.shape[0]} exceeds transform size {n}"
             )
-        twists = self._twist_lanes
+        twists = self._lanes[0]
         x = np.zeros(n, dtype=np.uint64)
         x[:coeffs.shape[0]] = coeffs
         for d, lvl in enumerate(self.levels):
@@ -213,15 +203,15 @@ class AdditiveFftPlan:
         From the deepest level up, over the (B, 2^d, 2, n/2^(d+1)) view:
         the butterflies e = g0 + (u_d + combos[i]) g1 and out = [e, e + g1],
         interleaved; u_d is the only term that depends on the shift.  Over
-        w <= 16 the multipliers' logs are taken per batch and column.  Over
-        w > 16 a product is linear in its multiplier: where at least
-        _XOR_ROWS rows share a multiplier, u_d's table is XORed into the
-        combos' tables, else the product is combos[i] g1 + u_d g1, which
-        keeps the tables built per call small.
+        w <= 16 the multipliers' logs are taken per batch and column; over
+        w > 16 a nibble table is linear in its multiplier, so u_d's table is
+        XORed into the combos' tables.
         """
         f = self.field
+        for shift in (min(shifts), max(shifts)):
+            f.validate(shift)
         n = self.size
-        combos = self._combo_lanes
+        combos = self._lanes[1]
         ops = self._shift_operands(shifts)
         batches = ops.shape[0]
         logs = f.has_log_tables
@@ -233,12 +223,8 @@ class AdditiveFftPlan:
             if logs:
                 mult = f.lane_logs(combos[d] ^ ops[:, d, None])
                 prod = f.lane_exp(f.lane_logs(g1) + mult[:, None])
-            elif y.shape[1] >= _XOR_ROWS:
-                tables = combos[d] ^ ops[:, d, None]
-                prod = f.mul_lanes(tables[:, None], g1)
             else:
-                prod = f.mul_lanes(combos[d], g1)
-                prod = prod ^ f.mul_lanes(ops[:, d, None, None], g1)
+                prod = f.mul_lanes((combos[d] ^ ops[:, d, None])[:, None], g1)
             out = np.empty((batches, y.shape[1], half, 2), dtype=np.uint64)
             np.bitwise_xor(g0, prod, out=out[..., 0])
             np.bitwise_xor(out[..., 0], g1, out=out[..., 1])

@@ -124,13 +124,20 @@ def test_additive_fft_vec_tables_and_rejections():
     f = Gf2w(64)
     plan = AdditiveFftPlan(f, 8)
     # every twist and combo table is a view of one array of at most 2 MiB
-    base = plan._combo_lanes[0].base
-    assert all(t.base is base for t in plan._combo_lanes + plan._twist_lanes if t is not None)
+    twists, combos = plan._lanes
+    base = combos[0].base
+    assert all(t.base is base for t in combos + twists if t is not None)
     assert base.nbytes <= 2 << 20
     with pytest.raises(FieldError):
         plan.evaluate_vec(np.zeros(257, dtype=np.uint64))
     with pytest.raises(FieldError):
         plan.evaluate_vec(np.zeros(4, dtype=np.uint64), 1 << 64)
+    # bottom_up rejects a shift outside the field before it adds per-bit rows
+    top = plan.top_down(np.zeros(4, dtype=np.uint64))
+    for shifts in ([0, 1 << 64], [-1, 0], [1 << 70]):
+        with pytest.raises(FieldError):
+            plan.bottom_up(top, shifts)
+    assert plan._units.shape[0] == 1
 
 
 def test_additive_fft_basis_dependence_rejected():
