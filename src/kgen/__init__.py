@@ -5,7 +5,9 @@ from .field import FieldError, Gf2w, Gfp, find_primitive_element, parse_field_sp
 from .generator import (
     FftBatchGenerator,
     GeneratorDescriptor,
+    GeneratorSpec,
     HornerGenerator,
+    build,
     build_cascade_generator,
     build_expander_generator,
 )
@@ -15,11 +17,13 @@ __all__ = [
     "FieldError",
     "FftBatchGenerator",
     "GeneratorDescriptor",
+    "GeneratorSpec",
     "Gf2w",
     "Gfp",
     "GuardExceeded",
     "HornerGenerator",
     "PeriodExhausted",
+    "build",
     "build_cascade_generator",
     "build_expander_generator",
     "find_primitive_element",

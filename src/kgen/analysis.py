@@ -51,7 +51,6 @@ def exhaustive_independence_check(
     n: int,
     max_position_subsets: int = POSITION_SUBSET_CAP,
     guard: int = ENUM_GUARD,
-    threads: int = 1,
 ) -> IndependenceReport:
     """Enumerate every seed, materialize every stream, and demand that each
     of the |F|^k output tuples occurs exactly (#seeds)/|F|^k times at every
@@ -64,8 +63,7 @@ def exhaustive_independence_check(
     exactness claim honest).  A check that would examine no subset (k < 1,
     n < k or a cap below 1) is refused with `ConfigError` rather than
     reported as a pass.  Seed spaces above the guard are rejected with the
-    scale that would be required.  `threads` splits the enumeration over
-    first-element seed ranges; the merge order is deterministic either way.
+    scale that would be required.
 
     The streams are packed into one (n, #seeds) matrix.  Each subset's
     tuples are counted with one `bincount` of their mixed-radix keys
@@ -87,25 +85,8 @@ def exhaustive_independence_check(
             f"guard is {guard}"
         )
 
-    def materialize(first_range):
-        out = []
-        if seed_len == 0:
-            return [make_generator(()).emit_batch(n)]
-        for first in first_range:
-            for rest in product(range(order), repeat=seed_len - 1):
-                out.append(make_generator((first,) + rest).emit_batch(n))
-        return out
-
-    if threads > 1 and seed_len > 0:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = max(1, order // threads)
-        ranges = [range(i, min(i + chunk, order)) for i in range(0, order, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(materialize, ranges))
-        streams = [s for part in parts for s in part]
-    else:
-        streams = materialize(range(order))
+    streams = [make_generator(seed).emit_batch(n)
+               for seed in product(range(order), repeat=seed_len)]
 
     bad = _first_out_of_range(streams, order)
     if bad is not None:

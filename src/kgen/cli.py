@@ -17,11 +17,10 @@ from .errors import ConfigError, GuardExceeded
 from .expander import TimeModel, search_parameters
 from .field import FieldError, parse_field_spec
 from .generator import (
-    FftBatchGenerator,
-    HornerGenerator,
-    build_cascade_generator,
-    build_expander_generator,
+    GeneratorSpec,
+    build,
     seed_from_hex,
+    seed_from_int,
     seed_to_hex,
     stream_chunks,
     write_stream,
@@ -37,48 +36,26 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x, 0) for x in text.split(",") if x]
 
 
+def _build(args, k: int | None = None):
+    """The prototype of the generator the common options describe, with
+    independence `k` in place of --k when given."""
+    return build(GeneratorSpec(
+        args.kind, parse_field_spec(args.field), k or args.k, args.c, args.m,
+        args.d, args.t, args.inner, args.graph_seed,
+    ))
+
+
 def _seed_elements(args, field, length: int):
-    """Element seed from --seed hex or --entropy; entropy runs report the
-    drawn seed so they can be replayed."""
+    """Element seed from --seed hex, or drawn for --entropy (the header of
+    an entropy run records it for replay)."""
     if args.seed is not None:
         seed = seed_from_hex(field, args.seed)
         if len(seed) != length:
             raise ConfigError(f"seed has {len(seed)} elements, need {length}")
-        return seed, False
+        return seed
     if not args.entropy:
         raise ConfigError("provide --seed HEX or --entropy")
-    rng = random.Random(fresh_seed())
-    return tuple(field.random_element(rng) for _ in range(length)), True
-
-
-def _build_generator(args, field):
-    kind = args.kind
-    if kind == "horner":
-        seed, drew = _seed_elements(args, field, args.k)
-        return HornerGenerator(field, args.k, seed), drew
-    if kind == "fft-batch":
-        seed, drew = _seed_elements(args, field, args.k)
-        return FftBatchGenerator(field, args.k, seed), drew
-    if kind == "expander":
-        for name in ("c", "m", "d"):
-            if getattr(args, name) is None:
-                raise ConfigError(f"expander kind needs --{name}")
-        proto = build_expander_generator(
-            field, args.k, args.c, args.m, args.d,
-            inner_kind=args.inner, rng=spawn_rng(args.graph_seed, "graph"),
-        )
-    elif kind == "cascade":
-        for name in ("c", "d", "t"):
-            if getattr(args, name) is None:
-                raise ConfigError(f"cascade kind needs --{name}")
-        proto = build_cascade_generator(
-            field, args.k, args.c, args.d, args.t,
-            base_kind=args.inner, rng=spawn_rng(args.graph_seed, "graph"), m0=args.m,
-        )
-    else:
-        raise ConfigError(f"unknown generator kind {kind!r}")
-    seed, drew = _seed_elements(args, field, proto.descriptor.seed_len)
-    return proto.fork(seed), drew
+    return seed_from_int(field, length, fresh_seed())
 
 
 def _open_out(args):
@@ -92,8 +69,9 @@ def _open_out(args):
 # --------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    field = parse_field_spec(args.field)
-    gen, _ = _build_generator(args, field)
+    proto = _build(args)
+    field = proto.field
+    gen = proto.fork(_seed_elements(args, field, proto.descriptor.seed_len))
     fh, close = _open_out(args)
     try:
         if args.format in ("hex", "csv"):
@@ -134,7 +112,7 @@ def cmd_search(args) -> int:
     for k in args.k:
         result = search_parameters(
             k, args.c, args.d, 1 << args.log2_m_cap, args.delta,
-            time_model=TimeModel(), threads=args.threads,
+            time_model=TimeModel(),
         )
         rows = result.rows if args.full else (
             (result.winner,) if result.winner else ()
@@ -156,15 +134,12 @@ def cmd_search(args) -> int:
 
 def _bench_expander_row(args, k, row) -> float:
     field = parse_field_spec(args.field)
-    rng = spawn_rng(args.graph_seed, "search-bench", k)
-
-    def make():
-        return build_expander_generator(
-            field, k, row.c, min(row.m, 1 << 16), row.d, rng=rng,
-        )
-
-    values = min(row.c * min(row.m, 1 << 16), 1 << 15)
-    return bench.measure_ns_per_value(make, values, repetitions=3)
+    m = min(row.m, 1 << 16)
+    proto = build(GeneratorSpec("expander", field, k, c=row.c, m=m, d=row.d,
+                                graph_seed=args.graph_seed))
+    seed = seed_from_int(field, proto.descriptor.seed_len, args.graph_seed)
+    values = min(row.c * m, 1 << 15)
+    return bench.measure_ns_per_value(lambda: proto.fork(seed), values, repetitions=3)
 
 
 # --------------------------------------------------------------------------
@@ -173,39 +148,28 @@ def _bench_expander_row(args, k, row) -> float:
 
 def cmd_bench(args) -> int:
     field = parse_field_spec(args.field)
-    rng = spawn_rng(args.graph_seed, "bench")
     print("k,kind,ns_per_value,inner_ns,lookup_ns")
     for k in args.k:
         for kind in args.kinds.split(","):
-            if kind == "horner":
-                seed = tuple(field.random_element(rng) for _ in range(k))
-                gen = HornerGenerator(field, k, seed)
-                values = min(args.values, gen.descriptor.period)
-                ns = bench.measure_ns_per_value(lambda: gen.fork(seed), values,
-                                                args.reps)
-                print(f"{k},horner,{ns:.1f},,")
-            elif kind == "fft-batch":
-                seed = tuple(field.random_element(rng) for _ in range(k))
-                gen = FftBatchGenerator(field, k, seed)
-                values = min(max(args.values, k), gen.descriptor.period)
-                values -= values % gen.batch_size
-                ns = bench.measure_ns_per_value(lambda: gen.fork(seed), values,
-                                                args.reps)
-                print(f"{k},fft-batch,{ns:.1f},,")
-            elif kind == "expander":
-                c = args.c or 4
-                d = args.d or 8
-                m = args.m or 1 << 13
-                gen = build_expander_generator(field, k, c, m, d, rng=rng)
-                inner_batch = getattr(gen.inner, "batch_size", m)
-                cycle = c * max(m, inner_batch)
-                values = min(cycle, args.values, gen.descriptor.period)
-                split = bench.measure_expander_split(lambda: gen.fork(gen.seed),
-                                                     values, args.reps)
-                print(f"{k},expander,{split.total_ns:.1f},"
-                      f"{split.inner_ns:.1f},{split.lookup_ns:.1f}")
+            proto = build(GeneratorSpec(kind, field, k, c=args.c or 4, m=args.m or 1 << 13,
+                                        d=args.d or 8, graph_seed=args.graph_seed))
+            seed = seed_from_int(field, proto.descriptor.seed_len, args.graph_seed)
+            make = lambda: proto.fork(seed)
+            period = proto.descriptor.period
+            if kind == "expander":
+                # at most the c*max(m, inner batch) outputs one inner batch feeds
+                g = proto.graph
+                cycle = g.c * max(g.m, getattr(proto.inner, "batch_size", 1))
+                split = bench.measure_expander_split(make, min(args.values, period, cycle),
+                                                     args.reps)
+                cols = f"{split.total_ns:.1f},{split.inner_ns:.1f},{split.lookup_ns:.1f}"
             else:
-                raise ConfigError(f"unknown bench kind {kind!r}")
+                # whole fft-batch batches, at least one
+                batch = getattr(proto, "batch_size", 1)
+                values = min(max(args.values, batch), period)
+                values -= values % batch
+                cols = f"{bench.measure_ns_per_value(make, values, args.reps):.1f},,"
+            print(f"{k},{kind},{cols}")
     return EXIT_OK
 
 
@@ -214,53 +178,22 @@ def cmd_bench(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    field = parse_field_spec(args.field)
+    proto = _build(args, args.seedlen)
+    field, seed_len = proto.field, proto.descriptor.seed_len
     if args.screen:
-        rng = spawn_rng(args.graph_seed, "screen")
-        gen_args = args
-
-        def source(seed_int):
-            srng = random.Random(seed_int)
-            length = {
-                "horner": args.seedlen or args.k,
-                "fft-batch": args.seedlen or args.k,
-            }.get(args.kind)
-            if length is None:
-                raise ConfigError("--screen supports horner and fft-batch kinds")
-            seed = tuple(field.random_element(srng) for _ in range(length))
-            if args.kind == "horner":
-                gen = HornerGenerator(field, length, seed)
-            else:
-                gen = FftBatchGenerator(field, length, seed)
-            return gen.emit_batch(args.window)
+        def source(s):
+            return proto.fork(seed_from_int(field, seed_len, s)).emit_batch(args.window)
 
         report = analysis.chi_square_screen(
-            source, field, min(args.k, 4), args.window, args.trials, rng,
+            source, field, min(args.k, 4), args.window, args.trials,
+            spawn_rng(args.graph_seed, "screen"),
         )
     else:
-        seedlen = args.seedlen or args.k
-        n = args.n or min(field.order, 64)
-
-        if args.kind == "horner":
-            make = lambda seed: HornerGenerator(field, seedlen, seed)
-        elif args.kind == "fft-batch":
-            make = lambda seed: FftBatchGenerator(field, seedlen, seed)
-        elif args.kind == "expander":
-            for name in ("c", "m", "d"):
-                if getattr(args, name) is None:
-                    raise ConfigError(f"expander kind needs --{name}")
-            proto = build_expander_generator(
-                field, args.k, args.c, args.m, args.d, inner_kind=args.inner,
-                rng=spawn_rng(args.graph_seed, "graph"),
-            )
-            seedlen = proto.descriptor.seed_len
-            n = args.n or min(proto.descriptor.period, proto._block_size)
-            make = lambda seed: proto.fork(seed)
-        else:
-            raise ConfigError(f"verify does not support kind {args.kind!r}")
+        # one block of a sampled kind covers every row of its graph
+        n = args.n or min(proto.descriptor.period, getattr(proto, "_block_size", 64))
         report = analysis.exhaustive_independence_check(
-            make, field, seedlen, args.k, n,
-            max_position_subsets=args.max_positions, threads=args.threads,
+            proto.fork, field, seed_len, args.k, n,
+            max_position_subsets=args.max_positions,
         )
     print(report.to_line())
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -284,30 +217,18 @@ def _parse_workload(spec: str, rng: random.Random):
 
 
 def cmd_loadbalance(args) -> int:
-    if args.m_machines is not None:
-        args.m = args.m_machines
-    if args.m is None:
-        raise ConfigError("loadbalance needs --m machines (or --m-machines)")
-    field = parse_field_spec(args.field)
+    if args.m_machines is None:
+        raise ConfigError("loadbalance needs --m-machines (--m is the graph's right side)")
+    proto = _build(args)
+    field, seed_len = proto.field, proto.descriptor.seed_len
     master = args.graph_seed
-    rng = spawn_rng(master, "loadbalance")
     tasks = _parse_workload(args.workload, spawn_rng(master, "workload"))
-
-    if args.kind == "horner":
-        make = lambda s: HornerGenerator(
-            field, args.k,
-            tuple(field.random_element(random.Random(s)) for _ in range(args.k)))
-    elif args.kind == "fft-batch":
-        make = lambda s: FftBatchGenerator(
-            field, args.k,
-            tuple(field.random_element(random.Random(s)) for _ in range(args.k)))
-    else:
-        raise ConfigError("loadbalance supports horner and fft-batch kinds")
-
     result = loadbalance.run_experiment(
-        tasks, args.m, args.b, args.eps, make, args.reps, rng, keep_results=True,
+        tasks, args.m_machines, args.b, args.eps,
+        lambda s: proto.fork(seed_from_int(field, seed_len, s)),
+        args.reps, spawn_rng(master, "loadbalance"), keep_results=True,
     )
-    peaks_header = ",".join(f"peak_{q}" for q in range(args.m))
+    peaks_header = ",".join(f"peak_{q}" for q in range(args.m_machines))
     print(f"run,seed,{peaks_header},overflow,bound")
     for i, (seed, run) in enumerate(zip(result.seeds, result.results)):
         peaks = ",".join(str(p) for p in run.per_machine_peak)
@@ -329,17 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kinds=True):
+    def common(p):
         p.add_argument("--field", required=True, help="gf2w:W or gfp:P")
         p.add_argument("--k", type=int, required=True, help="independence")
-        if kinds:
-            p.add_argument("--kind", default="horner",
-                           choices=["horner", "fft-batch", "expander", "cascade"])
-            p.add_argument("--seed", help="hex element seed (width-padded words)")
-            p.add_argument("--entropy", action="store_true",
-                           help="draw the seed from OS entropy (recorded for replay)")
+        p.add_argument("--kind", default="horner",
+                       choices=["horner", "fft-batch", "expander", "cascade"])
         p.add_argument("--c", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
+        p.add_argument("--m", type=int, default=None,
+                       help="graph right side (expander), first right size (cascade)")
         p.add_argument("--d", type=int, default=None)
         p.add_argument("--t", type=int, default=None)
         p.add_argument("--inner", default="fft-batch",
@@ -347,10 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inner/base kind for composed generators")
         p.add_argument("--graph-seed", type=int, default=0,
                        help="construction randomness for sampled structures")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("gen", help="emit values")
     common(p)
+    p.add_argument("--seed", help="hex element seed (width-padded words)")
+    p.add_argument("--entropy", action="store_true",
+                   help="draw the seed from OS entropy (recorded for replay)")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", default="-")
     p.add_argument("--format", default="hex", choices=["bin", "hex", "csv"])
@@ -369,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench", action="store_true",
                    help="measure winner rows instead of the model")
     p.add_argument("--graph-seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bench", help="ns/value for generator kinds")
@@ -387,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="independence verification")
     common(p)
     p.add_argument("--seedlen", type=int, default=None,
-                   help="family size when different from --k")
+                   help="generator independence (the seed length of horner and"
+                        " fft-batch) when different from the checked --k")
     p.add_argument("--n", type=int, default=None, help="stream length to check")
     p.add_argument("--max-positions", type=int, default=analysis.POSITION_SUBSET_CAP)
     p.add_argument("--screen", action="store_true",
@@ -398,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loadbalance", help="interval-task assignment experiment")
     common(p)
-    p.add_argument("--m-machines", dest="m_machines", type=int, default=None)
+    p.add_argument("--m-machines", dest="m_machines", type=int, default=None,
+                   help="machine count")
     p.add_argument("--b", type=int, required=True, help="per-machine capacity")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--workload", default="burst:64")

@@ -493,7 +493,6 @@ def search_parameters(
     m_cap: int,
     delta_target: float,
     time_model: TimeModel | None = None,
-    threads: int = 1,
 ) -> SearchResult:
     """For each (c, d): the least power-of-two m <= m_cap whose rank failure
     bound meets the target; feasible triples ranked by predicted time."""
@@ -501,10 +500,8 @@ def search_parameters(
         raise ValueError("candidate sets must be non-empty")
     model = time_model or TimeModel()
     log10_target = math.log10(delta_target)
-    grid = [(c, d) for c in sorted(c_candidates) for d in sorted(d_candidates)]
 
-    def solve(cell):
-        c, d = cell
+    def solve(c, d):
         m = 2
         while m <= m_cap:
             bound = rank_failure_bound(c, m, d, k).log10_delta
@@ -514,13 +511,7 @@ def search_parameters(
             m <<= 1
         return SearchRow(c, d, None, None, None)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(solve, grid))
-    else:
-        rows = tuple(solve(cell) for cell in grid)
+    rows = tuple(solve(c, d) for c in sorted(c_candidates) for d in sorted(d_candidates))
     feasible = [r for r in rows if r.feasible]
     winner = min(feasible, key=lambda r: (r.predicted_ns, r.c, r.d)) if feasible else None
     return SearchResult(k=k, delta_target=delta_target, rows=rows, winner=winner)

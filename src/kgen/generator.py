@@ -25,6 +25,11 @@ cascade block is the c*m outputs of one gather, where
 reduces by XOR over GF(2^w) or modular addition over GF(p).
 `stream_chunks` takes a stream in chunks of 2^16 values, which
 `write_stream` serializes with one `tobytes` each.
+
+A `GeneratorSpec` names a generator up to its seed, and `build(spec)` is the
+one construction path behind every `kgen` subcommand: it returns a
+prototype, and each stream is `prototype.fork(seed)`.  `seed_from_int`
+turns an integer into an element seed.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import spawn_rng
 from .errors import ConfigError, PeriodExhausted
 from .expander import (
     BipartiteGraph,
@@ -368,6 +374,12 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
+def _poly_period(field, kind: str) -> int:
+    """Period of a horner or fft-batch stream over `field`: |F|, or p-1 for
+    fft-batch over GF(p), whose cosets cover F_p^*."""
+    return field.p - 1 if kind == "fft-batch" and isinstance(field, Gfp) else field.order
+
+
 def _make_inner(field, kind: str, k_needed: int, rng: random.Random,
                 seed=None, omega: int | None = None):
     """Inner/base generator of the requested kind supplying >= k_needed
@@ -413,10 +425,7 @@ def build_expander_generator(
     elif (graph.c, graph.m, graph.d) != (c, m, d):
         raise ConfigError("supplied graph does not match (c, m, d)")
     bound = rank_failure_bound(c, m, d, k)
-    inner_period = field.order if inner_kind == "horner" else (
-        field.order if isinstance(field, Gf2w) else field.p - 1
-    )
-    need = required_independence(d * k, inner_period)
+    need = required_independence(d * k, _poly_period(field, inner_kind))
     inner = _make_inner(field, inner_kind, need, rng, seed, omega)
     return ExpanderGenerator(field, k, graph, inner, bound.delta)
 
@@ -440,9 +449,7 @@ def build_cascade_generator(
     the level bounds.  t=0 degenerates to the base generator itself.
     """
     rng = rng or random.Random(0)
-    base_period = field.order if base_kind == "horner" else (
-        field.order if isinstance(field, Gf2w) else field.p - 1
-    )
+    base_period = _poly_period(field, base_kind)
     if m0 is None:
         m0 = base_period
     if graphs is None:
@@ -469,20 +476,55 @@ def build_cascade_generator(
     return CascadeGenerator(field, k, graphs, base, min(delta, 1.0))
 
 
-def init(descriptor: GeneratorDescriptor, seed):
-    """Instantiate a polynomial-seeded generator from its descriptor.
+@dataclass(frozen=True)
+class GeneratorSpec:
+    """Everything that fixes a generator except its seed.  An expander needs
+    c, m, d; a cascade needs c, d, t, and takes m as its first right size
+    (the whole inner period when None).  `inner` is the polynomial kind
+    under either, and their graphs come from spawn_rng(graph_seed, "graph")."""
 
-    The sampled kinds (expander, cascade) also need their graphs: build them
-    with build_expander_generator / build_cascade_generator, then use
-    .fork(seed) for fresh seeds over the same structure.
-    """
-    if descriptor.kind == "horner":
-        return HornerGenerator(descriptor.field, descriptor.k, seed)
-    if descriptor.kind == "fft-batch":
-        return FftBatchGenerator(descriptor.field, descriptor.k, seed)
-    raise ConfigError(
-        f"kind {descriptor.kind!r} carries sampled structure; use its builder"
-    )
+    kind: str
+    field: object
+    k: int
+    c: int | None = None
+    m: int | None = None
+    d: int | None = None
+    t: int | None = None
+    inner: str = "fft-batch"
+    graph_seed: int = 0
+
+
+_SPEC_NEEDS = {"horner": (), "fft-batch": (), "expander": ("c", "m", "d"),
+               "cascade": ("c", "d", "t")}
+
+
+def build(spec: GeneratorSpec):
+    """The prototype generator of `spec`: every stream of the spec is
+    `build(spec).fork(seed)` with `descriptor.seed_len` elements.  The
+    prototype's own seed (zeros, or the builder's draw under a graph) is
+    not meant to be emitted.  A missing shape parameter, or an m that does
+    not divide the inner period, raises `ConfigError` before any graph is
+    sampled."""
+    needs = _SPEC_NEEDS.get(spec.kind)
+    if needs is None:
+        raise ConfigError(f"unknown generator kind {spec.kind!r}")
+    for name in needs:
+        if getattr(spec, name) is None:
+            raise ConfigError(f"{spec.kind} kind needs --{name}")
+    field, k = spec.field, spec.k
+    if spec.kind == "horner":
+        return HornerGenerator(field, k, (0,) * k)
+    if spec.kind == "fft-batch":
+        return FftBatchGenerator(field, k, (0,) * k)
+    period = _poly_period(field, spec.inner)
+    if spec.m is not None and (spec.m < 1 or period % spec.m):
+        raise ConfigError(f"--m={spec.m} must divide the {spec.inner} period {period}")
+    rng = spawn_rng(spec.graph_seed, "graph")
+    if spec.kind == "expander":
+        return build_expander_generator(field, k, spec.c, spec.m, spec.d,
+                                        inner_kind=spec.inner, rng=rng)
+    return build_cascade_generator(field, k, spec.c, spec.d, spec.t,
+                                   base_kind=spec.inner, rng=rng, m0=spec.m)
 
 
 # --------------------------------------------------------------------------
@@ -492,6 +534,13 @@ def init(descriptor: GeneratorDescriptor, seed):
 def seed_to_hex(field, seed) -> str:
     width = 2 * field.elem_bytes
     return "".join(f"{s:0{width}x}" for s in seed)
+
+
+def seed_from_int(field, seed_len: int, s: int) -> tuple[int, ...]:
+    """The element seed that the integer `s` stands for: `seed_len` draws
+    from random.Random(s)."""
+    rng = random.Random(s)
+    return tuple(field.random_element(rng) for _ in range(seed_len))
 
 
 def seed_from_hex(field, text: str) -> tuple[int, ...]:

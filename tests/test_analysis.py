@@ -325,11 +325,3 @@ def test_screen_expander_generator_at_scale():
 
     report = chi_square_screen(source, f, 2, 64, 1200, random.Random(3))
     assert report.verdict == "screen-pass"
-
-
-def test_exhaustive_check_threads_deterministic():
-    f = Gfp(5)
-    mk = horner_factory(f, 2)
-    a = exhaustive_independence_check(mk, f, 2, 2, 5)
-    b = exhaustive_independence_check(mk, f, 2, 2, 5, threads=3)
-    assert a == b

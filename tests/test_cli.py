@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from kgen.cli import main
@@ -48,16 +49,6 @@ def test_gen_csv_format(capsys):
          "--format", "csv"], capsys)
     assert code == 0
     assert out.splitlines() == ["index,value", "0,1", "1,3", "2,5"]
-
-
-def test_verify_threads_flag(capsys):
-    code1, out1, _ = run_cli(
-        ["verify", "--field", "gfp:5", "--kind", "horner", "--k", "2"], capsys)
-    code2, out2, _ = run_cli(
-        ["verify", "--field", "gfp:5", "--kind", "horner", "--k", "2",
-         "--threads", "3"], capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2
 
 
 def test_gen_header_records_seed(capsys):
@@ -182,30 +173,43 @@ def test_gen_expander_kind(capsys):
     assert len(out.splitlines()) == 8
 
 
-@pytest.mark.parametrize("kind", ["expander", "cascade"])
+_SHAPES = {
+    "horner": [],
+    "fft-batch": [],
+    "expander": ["--c", "2", "--m", "16", "--d", "2"],
+    "cascade": ["--c", "2", "--m", "16", "--d", "2", "--t", "2"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SHAPES))
 def test_gen_graph_comes_from_graph_seed(tmp_path, capsys, kind):
-    # gen must emit the graph verify certifies: spawn_rng(--graph-seed, "graph")
+    # gen emits build(spec).fork(seed), and a sampled kind's graphs are the
+    # builder's from spawn_rng(--graph-seed, "graph"): the graphs verify certifies
     from kgen.entropy import spawn_rng
     from kgen.field import Gfp
-    from kgen.generator import (build_cascade_generator, build_expander_generator,
-                                seed_to_hex, write_stream)
+    from kgen.generator import (GeneratorSpec, build, build_cascade_generator,
+                                build_expander_generator, seed_to_hex, write_stream)
 
     f = Gfp(257)
+    shape = dict(zip(_SHAPES[kind][::2], map(int, _SHAPES[kind][1::2])))
+    proto = build(GeneratorSpec(kind, f, 2, **{o[2:]: v for o, v in shape.items()},
+                                graph_seed=7))
     if kind == "expander":
-        shape = ["--c", "2", "--m", "16", "--d", "2"]
-        proto = build_expander_generator(f, 2, 2, 16, 2, inner_kind="fft-batch",
-                                         rng=spawn_rng(7, "graph"))
-    else:
-        shape = ["--c", "2", "--m", "16", "--d", "2", "--t", "2"]
-        proto = build_cascade_generator(f, 2, 2, 2, 2, base_kind="fft-batch",
-                                        rng=spawn_rng(7, "graph"), m0=16)
+        ref = build_expander_generator(f, 2, 2, 16, 2, inner_kind="fft-batch",
+                                       rng=spawn_rng(7, "graph"))
+        assert np.array_equal(proto.graph.edges, ref.graph.edges)
+    elif kind == "cascade":
+        ref = build_cascade_generator(f, 2, 2, 2, 2, base_kind="fft-batch",
+                                      rng=spawn_rng(7, "graph"), m0=16)
+        for g, h in zip(proto.graphs, ref.graphs, strict=True):
+            assert np.array_equal(g.edges, h.edges)
     rng = random.Random(5)
     seed = [f.random_element(rng) for _ in range(proto.descriptor.seed_len)]
     want = io.BytesIO()
     write_stream(proto.fork(seed), want, 64)
     out_file = tmp_path / "stream.bin"
     code, _, _ = run_cli(
-        ["gen", "--field", "gfp:257", "--kind", kind, "--k", "2", *shape,
+        ["gen", "--field", "gfp:257", "--kind", kind, "--k", "2", *_SHAPES[kind],
          "--inner", "fft-batch", "--graph-seed", "7", "--seed", seed_to_hex(f, seed),
          "--count", "64", "--format", "bin", "--out", str(out_file)], capsys)
     assert code == 0
@@ -225,6 +229,10 @@ def test_verify_pass_fail_guard_exit_codes(capsys):
     code, out, _ = run_cli(
         ["verify", "--field", "gfp:5", "--kind", "horner", "--k", "3"], capsys)
     assert code == 0 and "exact-pass" in out
+    # the default stream length stops at the period (p-1 for fft-batch over GF(p))
+    code, out, _ = run_cli(
+        ["verify", "--field", "gfp:5", "--kind", "fft-batch", "--k", "2"], capsys)
+    assert code == 0 and "exact-pass k=2 positions=6" in out  # C(4, 2) subsets
     code, out, _ = run_cli(
         ["verify", "--field", "gfp:3", "--kind", "horner", "--k", "3",
          "--seedlen", "2"], capsys)
@@ -250,6 +258,24 @@ def test_verify_expander(capsys):
          "--graph-seed", "12", "--max-positions", "12"], capsys)
     assert code in (0, 1)  # sampled graph may or may not pass; report prints
     assert "verdict=" in out
+
+
+def test_verify_cascade(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--field", "gf2w:4", "--kind", "cascade", "--k", "1",
+         "--c", "2", "--m", "4", "--d", "2", "--t", "1", "--inner", "horner"],
+        capsys)
+    assert code in (0, 1)
+    assert "verdict=exact-" in out
+
+
+def test_verify_screen_expander(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--field", "gf2w:16", "--kind", "expander", "--k", "2",
+         "--c", "2", "--m", "64", "--d", "2", "--screen", "--window", "16",
+         "--trials", "200"], capsys)
+    assert code in (0, 1)
+    assert "verdict=screen-" in out
 
 
 def test_verify_screen(capsys):
@@ -299,6 +325,39 @@ def test_loadbalance_cli_zero_overflow(capsys):
     assert len(lines) == 6
     assert all(line.split(",")[3] == "0" for line in lines[1:])  # b >= t: no overflow
     assert "frequency=0" in err
+
+
+def test_loadbalance_seeds_are_k_draws(capsys):
+    # each run's machines come from a degree-(k-1) polynomial whose k
+    # coefficients are k successive draws of random.Random(seed)
+    from kgen.field import Gf2w
+    from kgen.generator import HornerGenerator
+    from kgen.loadbalance import assign, burst_workload, peak_loads
+
+    code, out, _ = run_cli(
+        ["loadbalance", "--field", "gf2w:16", "--kind", "horner", "--k", "8",
+         "--m-machines", "4", "--b", "8", "--eps", "0.5",
+         "--workload", "burst:16", "--reps", "6"], capsys)
+    assert code == 0
+    f, tasks = Gf2w(16), burst_workload(16)
+    for line in out.splitlines()[1:]:
+        cells = line.split(",")
+        rng = random.Random(int(cells[1]))
+        gen = HornerGenerator(f, 8, [f.random_element(rng) for _ in range(8)])
+        want = peak_loads(tasks, assign(tasks, 4, gen), 4).per_machine_peak
+        assert [int(x) for x in cells[2:6]] == list(want)
+
+
+def test_loadbalance_expander(capsys):
+    # --m is the graph's right side; the machine count is --m-machines
+    code, out, _ = run_cli(
+        ["loadbalance", "--field", "gf2w:16", "--kind", "expander", "--k", "4",
+         "--c", "2", "--m", "64", "--d", "2", "--m-machines", "2", "--b", "16",
+         "--eps", "0.5", "--workload", "burst:8", "--reps", "3"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "run,seed,peak_0,peak_1,overflow,bound"
+    assert len(lines) == 4
 
 
 def test_loadbalance_missing_m_is_config_error(capsys):

@@ -383,12 +383,6 @@ def test_search_infeasible_reported():
     assert not r.rows[0].feasible
 
 
-def test_search_threads_deterministic():
-    a = search_parameters(2**6, [16, 64], [4, 8], 1 << 26, 1e-8, threads=1)
-    b = search_parameters(2**6, [16, 64], [4, 8], 1 << 26, 1e-8, threads=4)
-    assert a == b
-
-
 def test_time_model_shape():
     tm = TimeModel()
     assert tm.predict(64, 1 << 13, 8, 1 << 10) < tm.predict(16, 1 << 13, 8, 1 << 10)

@@ -15,10 +15,11 @@ from kgen.generator import (
     _LANE_CAP,
     FftBatchGenerator,
     GeneratorDescriptor,
+    GeneratorSpec,
     HornerGenerator,
+    build,
     build_cascade_generator,
     build_expander_generator,
-    init,
     required_independence,
     seed_from_hex,
     seed_to_hex,
@@ -473,17 +474,26 @@ def test_cascade_size_chain_validated():
         CascadeGenerator(f, 2, [g1, g_bad], base, 0.0)
 
 
-# -- init dispatch / serialization ---------------------------------------------------
+# -- build dispatch / serialization ---------------------------------------------------
 
-def test_init_dispatch():
+def test_build_dispatch():
     f = Gfp(7)
-    d = GeneratorDescriptor("horner", f, 2, 7, 0.0, 2)
-    g = init(d, [1, 2])
-    assert g.emit() == 1
-    d2 = GeneratorDescriptor("fft-batch", Gfp(5), 4, 4, 0.0, 4)
-    assert init(d2, [0, 1, 0, 0]).descriptor.kind == "fft-batch"
-    with pytest.raises(ConfigError):
-        init(GeneratorDescriptor("expander", f, 2, 7, 0.0, 2), [1, 2])
+    proto = build(GeneratorSpec("horner", f, 2))
+    assert proto.descriptor.seed_len == 2
+    assert proto.fork([1, 2]).emit() == 1
+    g = build(GeneratorSpec("fft-batch", Gfp(5), 4)).fork([0, 1, 0, 0])
+    assert isinstance(g, FftBatchGenerator)
+    assert g.emit_batch(4) == [1, 2, 4, 3]  # h(x) = x at the powers of 2 in F_5^*
+    with pytest.raises(ConfigError, match="unknown generator kind"):
+        build(GeneratorSpec("tabulation", f, 2))
+    for missing in ("c", "m", "d"):
+        shape = {"c": 2, "m": 7, "d": 2, missing: None}
+        with pytest.raises(ConfigError, match=f"expander kind needs --{missing}"):
+            build(GeneratorSpec("expander", f, 2, inner="horner", **shape))
+    with pytest.raises(ConfigError, match="cascade kind needs --t"):
+        build(GeneratorSpec("cascade", f, 2, c=2, d=2, inner="horner"))
+    with pytest.raises(ConfigError, match="must divide the horner period 7"):
+        build(GeneratorSpec("expander", f, 2, c=2, m=3, d=2, inner="horner"))
 
 
 def test_seed_hex_roundtrip():
