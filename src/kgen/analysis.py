@@ -50,7 +50,6 @@ def exhaustive_independence_check(
     k: int,
     n: int,
     max_position_subsets: int = POSITION_SUBSET_CAP,
-    guard: int = ENUM_GUARD,
 ) -> IndependenceReport:
     """Enumerate every seed, materialize every stream, and demand that each
     of the |F|^k output tuples occurs exactly (#seeds)/|F|^k times at every
@@ -62,7 +61,7 @@ def exhaustive_independence_check(
     subsets is examined (reported via positions_examined, keeping the
     exactness claim honest).  A check that would examine no subset (k < 1,
     n < k or a cap below 1) is refused with `ConfigError` rather than
-    reported as a pass.  Seed spaces above the guard are rejected with the
+    reported as a pass.  Seed spaces above ENUM_GUARD are rejected with the
     scale that would be required.
 
     The streams are packed into one (n, #seeds) matrix.  Each subset's
@@ -79,10 +78,10 @@ def exhaustive_independence_check(
         )
     order = field.order
     n_seeds = order ** seed_len
-    if n_seeds > guard:
+    if n_seeds > ENUM_GUARD:
         raise GuardExceeded(
             f"exhaustive check needs {n_seeds} = {order}^{seed_len} streams, "
-            f"guard is {guard}"
+            f"guard is {ENUM_GUARD}"
         )
 
     streams = [make_generator(seed).emit_batch(n)
@@ -156,13 +155,12 @@ def chi_square_screen(
     window: int,
     trials: int,
     rng: random.Random,
-    fail_quantile: float = SCREEN_FAIL_QUANTILE,
 ) -> IndependenceReport:
     """Joint-histogram screen over the low 2 bits of k positions.
 
     `stream_source(seed)` returns at least `window` canonical elements; one
     seed is drawn per trial.  Fails when the chi-square statistic lands above
-    the (1 - fail_quantile) quantile of its null distribution.
+    the (1 - SCREEN_FAIL_QUANTILE) quantile of its null distribution.
     """
     if k > 4:
         raise GuardExceeded("screen holds joint histograms only up to k=4 positions")
@@ -191,7 +189,7 @@ def chi_square_screen(
             stat += (c - expected) ** 2 / expected
     from scipy.stats import chi2  # imported here: it costs most of kgen's start-up
 
-    threshold = float(chi2.ppf(1.0 - fail_quantile, cells - 1))
+    threshold = float(chi2.ppf(1.0 - SCREEN_FAIL_QUANTILE, cells - 1))
     verdict = "screen-pass" if stat <= threshold else "screen-fail"
     return IndependenceReport(
         verdict, k, len(positions), stat,

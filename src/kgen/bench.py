@@ -1,4 +1,4 @@
-"""Timing harness: medians of repeated runs, warmup included.
+"""Timing harness: medians of repeated runs, after one warmup run.
 
 Absolute numbers are hardware- and interpreter-dependent and never feed
 acceptance decisions; only ratios and trends do.
@@ -13,19 +13,20 @@ from typing import Callable
 
 
 def measure_ns_per_value(make_gen: Callable[[], object], values: int,
-                         repetitions: int = 5, warmup: int = 1) -> float:
-    """Median ns per emitted value over fresh generator instances.
+                         repetitions: int = 5) -> float:
+    """Median ns per emitted value over fresh generator instances, the
+    first (warmup) instance not counted.
 
     `values` should cover whole refill cycles of batch kinds so the
     amortized cost is what gets measured.
     """
     samples = []
-    for rep in range(warmup + repetitions):
+    for rep in range(1 + repetitions):
         gen = make_gen()
         t0 = time.perf_counter_ns()
         gen.emit_batch(values)
         dt = time.perf_counter_ns() - t0
-        if rep >= warmup:
+        if rep:
             samples.append(dt / values)
     return statistics.median(samples)
 

@@ -13,15 +13,14 @@ import sys
 
 from . import analysis, bench, loadbalance
 from .entropy import fresh_seed, spawn_rng
-from .errors import ConfigError, GuardExceeded
-from .expander import TimeModel, search_parameters
+from .errors import ConfigError, GuardExceeded, PeriodExhausted
+from .expander import search_parameters
 from .field import FieldError, parse_field_spec
 from .generator import (
     GeneratorSpec,
     build,
     seed_from_hex,
     seed_from_int,
-    seed_to_hex,
     stream_chunks,
     write_stream,
 )
@@ -76,9 +75,7 @@ def cmd_gen(args) -> int:
     try:
         if args.format in ("hex", "csv"):
             if args.header:
-                line = (gen.descriptor.header_line()
-                        + f" seed={seed_to_hex(field, gen.seed)}\n")
-                fh.write(line.encode())
+                fh.write(gen.descriptor.header_line(gen.seed).encode())
             width = 2 * field.elem_bytes
             if args.format == "csv":
                 fh.write(b"index,value\n")
@@ -110,10 +107,7 @@ def cmd_search(args) -> int:
     print("k,c,log2_m,d,log10_delta,predicted_ns")
     any_feasible = False
     for k in args.k:
-        result = search_parameters(
-            k, args.c, args.d, 1 << args.log2_m_cap, args.delta,
-            time_model=TimeModel(),
-        )
+        result = search_parameters(k, args.c, args.d, 1 << args.log2_m_cap, args.delta)
         rows = result.rows if args.full else (
             (result.winner,) if result.winner else ()
         )
@@ -334,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FieldError) as exc:
+    except (ConfigError, FieldError, PeriodExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardExceeded as exc:

@@ -234,13 +234,13 @@ def stack(g: BipartiteGraph, b: int) -> BipartiteGraph:
 # Brute-force verification oracles
 # --------------------------------------------------------------------------
 
-def is_k_unique_bruteforce(g: BipartiteGraph, k: int,
-                           max_left: int = BRUTE_FORCE_MAX_LEFT) -> bool:
+def is_k_unique_bruteforce(g: BipartiteGraph, k: int) -> bool:
     """Exponential sweep: every nonempty S with |S| <= k must have a right
     vertex adjacent to exactly one member of S."""
     n = g.n_left
-    if n > max_left:
-        raise GuardExceeded(f"brute-force uniqueness sweep needs cm <= {max_left}, got {n}")
+    if n > BRUTE_FORCE_MAX_LEFT:
+        raise GuardExceeded(
+            f"brute-force uniqueness sweep needs cm <= {BRUTE_FORCE_MAX_LEFT}, got {n}")
     for size in range(1, min(k, n) + 1):
         for subset in combinations(range(n), size):
             counts: dict[int, int] = {}
@@ -392,39 +392,37 @@ def delta_from_gamma(c: int, d: int, gamma: float) -> float:
     return math.e * c * d / gamma ** (d / 2.0 - 1.0)
 
 
-def beta_pair(i: int, d: int, m: int) -> float:
+def beta_pair(i, d: int, m: int):
     """log10 of (i*d - 1)!! * (1/m)^(i*d/2): the pairing bound on i fixed
-    rows XORing to zero.  Odd i*d has even parity probability zero => -inf."""
-    n = i * d
-    if n % 2 == 1:
-        return float("-inf")
+    rows XORing to zero.  Odd i*d has even parity probability zero => -inf.
+    `i` is a subset size or an array of them (a float, or an array of the
+    same shape, comes back)."""
+    n = np.atleast_1d(np.asarray(i, dtype=np.float64)) * d
     # (n-1)!! = n! / (2^(n/2) * (n/2)!)
-    log10_dfact = (math.lgamma(n + 1) - (n / 2) * math.log(2) - math.lgamma(n / 2 + 1)) / _LN10
-    return float(log10_dfact - (n / 2) * math.log10(m))
+    out = np.where(
+        n % 2 == 0,
+        (_lgamma(n + 1) - (n / 2) * math.log(2) - _lgamma(n / 2 + 1)) / _LN10
+        - (n / 2) * math.log10(m),
+        -np.inf,
+    )
+    return out if np.ndim(i) else float(out[0])
 
 
-def beta_poisson(i: int, d: int, m: int) -> float:
-    """log10 of e*sqrt(i*d)*((1+e^(-2 i d / m))/2)^m: the Poisson-parity bound."""
-    n = i * d
-    inner = math.log1p(math.exp(-2.0 * n / m)) - math.log(2.0)
-    return _LOG10_E + 0.5 * math.log10(n) + m * inner / _LN10
+def beta_poisson(i, d: int, m: int):
+    """log10 of e*sqrt(i*d)*((1+e^(-2 i d / m))/2)^m: the Poisson-parity
+    bound; `i` as in beta_pair."""
+    n = np.atleast_1d(np.asarray(i, dtype=np.float64)) * d
+    inner = np.log1p(np.exp(-2.0 * n / m)) - math.log(2.0)
+    out = _LOG10_E + 0.5 * np.log10(n) + m * inner / _LN10
+    return out if np.ndim(i) else float(out[0])
 
 
 def rank_failure_bound(c: int, m: int, d: int, k: int) -> BoundResult:
     """Union bound over row subsets: sum_i C(c*m, i) * min(beta_pair, beta_poisson)."""
     cm = c * m
     i = np.arange(1, k + 1, dtype=np.float64)
-    n = i * d
     log10_binom = (math.lgamma(cm + 1) - _lgamma(i + 1) - _lgamma(cm - i + 1)) / _LN10
-    bp = np.where(
-        (i.astype(np.int64) * d) % 2 == 0,
-        (_lgamma(n + 1) - (n / 2) * math.log(2) - _lgamma(n / 2 + 1)) / _LN10
-        - (n / 2) * math.log10(m),
-        -np.inf,
-    )
-    inner = np.log1p(np.exp(-2.0 * n / m)) - math.log(2.0)
-    bpo = _LOG10_E + 0.5 * np.log10(n) + m * inner / _LN10
-    terms = log10_binom + np.minimum(bp, bpo)
+    terms = log10_binom + np.minimum(beta_pair(i, d, m), beta_poisson(i, d, m))
     return BoundResult(
         log10_delta=_logsumexp10(terms),
         per_size_log10=dict(zip(range(1, k + 1), terms.tolist())),

@@ -34,16 +34,6 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
 
-def _gf2_rank(words: Sequence[int]) -> int:
-    basis = []
-    for v in words:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return len(basis)
-
-
 class _Level:
     __slots__ = ("lam", "inv_lam", "twists", "combos")
 
@@ -55,12 +45,11 @@ class _Level:
 
 
 class AdditiveFftPlan:
-    """Evaluation plan for one affine subspace shape over GF(2^w).
+    """Evaluation plan for the subspace spanned by the monomial basis
+    1, x, ..., x^(s-1) of GF(2^w), and its cosets.
 
-    The transform size is 2^s for a basis beta_1..beta_s of F_2-linearly
-    independent field elements; output index b maps to the point
-    shift + sum_i bit_i(b) * beta_{i+1}.  Defaults to the monomial basis
-    1, x, x^2, ...
+    The transform size is 2^s; output index b maps to the point shift XOR b,
+    so a shift that is a multiple of 2^s enumerates its coset in word order.
 
     Besides the scalar levels, the plan holds the fixed multipliers of the
     lane passes, built at the first lane pass: over w <= 16 the twists'
@@ -71,28 +60,18 @@ class AdditiveFftPlan:
     shifts reach.
     """
 
-    def __init__(self, field: Gf2w, s: int, basis: Sequence[int] | None = None):
+    def __init__(self, field: Gf2w, s: int):
         if not isinstance(field, Gf2w):
             raise FieldError("additive FFT requires a binary field")
         if not 0 <= s <= field.w:
             raise FieldError(f"transform log-size {s} out of range for w={field.w}")
-        if basis is None:
-            basis = [1 << i for i in range(s)]
-        basis = list(basis)
-        if len(basis) != s:
-            raise FieldError("basis length must equal s")
-        for b in basis:
-            field.validate(b)
-        if _gf2_rank(basis) != s:
-            raise FieldError("basis elements are not F_2-linearly independent")
         self.field = field
         self.s = s
         self.size = 1 << s
-        self.basis = tuple(basis)
         self.levels: list[_Level] = []
         self.op_counts = {"mul": 0, "add": 0}
         self.count_ops = False
-        cur = basis
+        cur = [1 << i for i in range(s)]
         for j in range(s, 0, -1):
             lam = cur[0]
             inv_lam = field.inv(lam)
@@ -135,16 +114,11 @@ class AdditiveFftPlan:
 
     def points(self, shift: int = 0) -> list[int]:
         """The evaluation points in output order."""
-        f = self.field
-        out = [shift] * self.size
-        for b in range(1, self.size):
-            low = b & -b
-            out[b] = out[b ^ low] ^ self.basis[low.bit_length() - 1]
-        return out
+        return [shift ^ b for b in range(self.size)]
 
     def evaluate(self, coeffs: Sequence[int], shift: int = 0) -> list[int]:
         """Evaluate the polynomial with the given coefficients (constant term
-        first) at every point of shift + span(basis), in enumeration order."""
+        first) at every point of `points(shift)`, in that order."""
         if len(coeffs) > self.size:
             raise FieldError(
                 f"polynomial of length {len(coeffs)} exceeds transform size {self.size}"

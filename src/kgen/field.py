@@ -257,11 +257,12 @@ class Gf2w:
 
     def _build_log_tables(self):
         """exp/log tables of a generator of F^*, built as arrays: the powers
-        gen^n..gen^(2n-1) are gen^0..gen^(n-1) times the constant gen^n."""
+        gen^n..gen^(2n-1) are gen^0..gen^(n-1) times the constant gen^n.
+        Until the tables are set, `mul` and `pow` take the clmul route."""
         order = self.mult_order
         factors = factorize(order)
         for cand in range(2, self.order):
-            if all(self._pow_slow(cand, order // q) != 1 for q in factors):
+            if all(self.pow(cand, order // q) != 1 for q in factors):
                 gen = cand
                 break
         else:  # pragma: no cover - a generator always exists
@@ -272,7 +273,7 @@ class Gf2w:
         while n < order:
             take = min(n, order - n)
             exp[n:n + take] = self.mul_lanes(self.nibble_tables([step]), exp[:take])
-            n, step = 2 * n, self._mul_slow(step, step)
+            n, step = 2 * n, self.mul(step, step)
         # Lane products index exp_vec by log_a + log_b; a zero operand has
         # log 2*order, which lands every sum that involves it in the zeros.
         exp_vec = np.zeros(4 * order + 1, dtype=np.uint64)
@@ -285,18 +286,6 @@ class Gf2w:
         self._log_vec = log_vec
         self._exp_table = exp.tolist()
         self._log_table = log_vec.tolist()
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        return self.reduce(clmul_portable(a, b))
-
-    def _pow_slow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return r
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -562,30 +551,18 @@ class Gfp:
         return a
 
 
-def find_primitive_element(ctx: Gfp, factors: dict[int, int] | None = None,
-                           rng: random.Random | None = None) -> int:
-    """Las Vegas search for a generator of F_p^*.
+def find_primitive_element(ctx: Gfp) -> int:
+    """A generator of F_p^*, the same one on every call for a given p.
 
-    `factors` must be the complete prime factorization of p-1 when supplied
-    (a wrong factorization is detected and rejected); by default it is
-    computed here.  Candidates are sampled and accepted once
-    omega^((p-1)/q) != 1 for every prime q | p-1.
+    Las Vegas search: candidates are drawn from a fixed-seed random.Random
+    and accepted once omega^((p-1)/q) != 1 for every prime q | p-1, with
+    p-1 factored here.
     """
     p = ctx.p
     if p == 2:
         return 1
-    if factors is None:
-        factors = factorize(p - 1)
-    else:
-        n = 1
-        for q, mult in factors.items():
-            if not is_prime(q):
-                raise FieldError(f"claimed factor {q} is not prime")
-            n *= q ** mult
-        if n != p - 1:
-            raise FieldError("factorization does not multiply out to p-1")
-    rng = rng or random.Random(0x5eed)
-    primes = list(factors)
+    primes = list(factorize(p - 1))
+    rng = random.Random(0x5eed)
     while True:
         cand = rng.randrange(2, p)
         if all(ctx.pow(cand, (p - 1) // q) != 1 for q in primes):

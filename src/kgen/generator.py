@@ -6,11 +6,12 @@ Four kinds:
 * horner      -- direct polynomial evaluation, k-1 mults per value;
 * fft-batch   -- one size-k batch evaluation per k outputs (additive FFT
                  over GF(2^w), coset DFT over GF(p));
-* expander    -- a d-regular random bipartite graph over a d*k-independent
-                 right table; emits are d table lookups plus d-1 additions,
-                 amortized constant time;
 * cascade     -- a chain of expanders multiplying the output volume by c per
-                 level, so the base generator's batch cost is amortized c^t-fold.
+                 level, so the inner generator's batch cost is amortized
+                 c^t-fold;
+* expander    -- the one-level cascade: a random bipartite graph of degree
+                 <= d over a d*k-independent right table; emits are d table
+                 lookups plus d-1 additions, amortized constant time.
 
 The horner and fft-batch kinds are exact (failure probability zero); the
 sampled kinds declare the union-bound failure probability of their graphs.
@@ -19,10 +20,10 @@ fft-batch, expander and cascade share one block cursor (`_BlockStream`):
 a refill computes a whole block as a uint64 array, `fill(n)` hands out
 slices of it, and `emit` and `emit_batch` read from it as Python ints.  An
 fft-batch block over GF(2^w) is the batches one request spans, in one
-bottom-up transform pass (a GF(p) block is one coset); an expander or
-cascade block is the c*m outputs of one gather, where
-`BipartiteGraph.row_sums` gathers the right table column by column and
-reduces by XOR over GF(2^w) or modular addition over GF(p).
+bottom-up transform pass (a GF(p) block is one coset); a cascade block is
+the left outputs of one gather per level, where `BipartiteGraph.row_sums`
+gathers the right table column by column and reduces by XOR over GF(2^w)
+or modular addition over GF(p).
 `stream_chunks` takes a stream in chunks of 2^16 values, which
 `write_stream` serializes with one `tobytes` each.
 
@@ -50,7 +51,7 @@ from .expander import (
 )
 from .fft import AdditiveFftPlan, CosetDftPlan
 from .field import Gf2w, Gfp, field_spec_string, find_primitive_element
-from .poly import Polynomial, horner_eval
+from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,13 @@ class GeneratorDescriptor:
     delta: float
     seed_len: int
 
-    def header_line(self) -> str:
+    def header_line(self, seed) -> str:
+        """The text line, newline included, that precedes a stream of this
+        generator from `seed` when it is written with a header."""
         return (
             f"# kind={self.kind} field={field_spec_string(self.field)} k={self.k}"
             f" period={self.period} delta={self.delta:.6g} seedlen={self.seed_len}"
+            f" seed={seed_to_hex(self.field, seed)}\n"
         )
 
 
@@ -103,11 +107,7 @@ class HornerGenerator:
         return self.descriptor.period - self._pos
 
     def emit(self) -> int:
-        if self._pos >= self.descriptor.period:
-            raise PeriodExhausted(f"period {self.descriptor.period} consumed")
-        x = self.field.element_at(self._pos)
-        self._pos += 1
-        return horner_eval(self.h, x)
+        return self.emit_batch(1)[0]
 
     def emit_batch(self, count: int) -> list[int]:
         if count > self.remaining:
@@ -201,7 +201,7 @@ class FftBatchGenerator(_BlockStream):
     immutable tables.
     """
 
-    def __init__(self, field, k: int, seed, omega: int | None = None):
+    def __init__(self, field, k: int, seed):
         if k < 1:
             raise ConfigError("k must be >= 1")
         if k > field.order:
@@ -216,9 +216,7 @@ class FftBatchGenerator(_BlockStream):
                 raise ConfigError(f"k={k} does not divide p-1={field.p - 1}")
             if k & (k - 1):
                 raise ConfigError(f"coset DFT path needs a power-of-two k, got {k}")
-            if omega is None:
-                omega = find_primitive_element(field)
-            self._plan = CosetDftPlan(field, k, omega)
+            self._plan = CosetDftPlan(field, k, find_primitive_element(field))
             period = field.p - 1
         else:
             raise ConfigError(f"unsupported field context {field!r}")
@@ -272,56 +270,21 @@ def required_independence(needed: int, inner_period: int) -> int:
     return min(needed, inner_period)
 
 
-class ExpanderGenerator(_BlockStream):
-    """Graph-composed generator: output x is the field sum of the right-table
-    entries adjacent to left vertex x.
-
-    The right table holds m consecutive inner outputs; each block of c*m
-    outputs is one gather over a refilled table, and the inner stream walks
-    the blocks of the (virtually) stacked graph until its period runs out.
-    """
-
-    def __init__(self, field, k: int, graph: BipartiteGraph, inner, delta: float):
-        inner_period = inner.descriptor.period
-        if inner_period % graph.m != 0:
-            raise ConfigError(
-                f"right size m={graph.m} must divide the inner period {inner_period}"
-            )
-        need = required_independence(graph.d * k, inner_period)
-        if inner.descriptor.k < need:
-            raise ConfigError(
-                f"inner generator supplies {inner.descriptor.k}-independence, "
-                f"need {need}"
-            )
-        self.field = field
-        self.graph = graph
-        self.inner = inner
-        blocks = inner_period // graph.m
-        period = blocks * graph.c * graph.m
-        self.descriptor = GeneratorDescriptor(
-            "expander", field, k, period, delta, inner.descriptor.seed_len
-        )
-        self.seed = inner.seed
-        self._block_size = graph.c * graph.m
-        self._start()
-
-    def fork(self, seed) -> "ExpanderGenerator":
-        return ExpanderGenerator(
-            self.field, self.descriptor.k, self.graph,
-            self.inner.fork(seed), self.descriptor.delta,
-        )
-
-    def _next_block(self, need: int) -> np.ndarray:
-        return self.graph.row_sums(self.field, self.inner.emit_batch(self.graph.m))
-
-
 class CascadeGenerator(_BlockStream):
     """Chained expander levels g_i(x) = sum of g_{i-1} over the neighbors of
-    x in level graph i; the base stream feeds level 0 in chunks of m0."""
+    x in level graph i, where g_0 is the inner stream.
 
-    def __init__(self, field, k: int, graphs: list[BipartiteGraph], base, delta: float):
+    Each block is one gather per level: the inner stream's next m0 values
+    (m0 the first graph's right size) fill the level-1 right table, and the
+    last level's c*m left outputs are the block.  The inner stream walks the
+    blocks of the (virtually) stacked graphs until its period runs out.
+    """
+
+    kind = "cascade"
+
+    def __init__(self, field, k: int, graphs: list[BipartiteGraph], inner, delta: float):
         if not graphs:
-            raise ConfigError("cascade needs at least one level; use the base directly")
+            raise ConfigError("cascade needs at least one level; use the inner generator directly")
         m0 = graphs[0].m
         prev_left = None
         for i, g in enumerate(graphs):
@@ -330,40 +293,51 @@ class CascadeGenerator(_BlockStream):
                     f"level {i + 1} right size {g.m} != level {i} left size {prev_left}"
                 )
             prev_left = g.n_left
-        base_period = base.descriptor.period
-        if base_period % m0 != 0:
-            raise ConfigError(f"m0={m0} must divide the base period {base_period}")
-        d = graphs[0].d
-        t = len(graphs)
-        need = required_independence(d ** t * k, base_period)
-        if base.descriptor.k < need:
+        inner_period = inner.descriptor.period
+        if inner_period % m0 != 0:
             raise ConfigError(
-                f"base generator supplies {base.descriptor.k}-independence, need {need}"
+                f"right size m={m0} must divide the inner period {inner_period}"
+            )
+        need = required_independence(graphs[0].d ** len(graphs) * k, inner_period)
+        if inner.descriptor.k < need:
+            raise ConfigError(
+                f"inner generator supplies {inner.descriptor.k}-independence, "
+                f"need {need}"
             )
         self.field = field
         self.graphs = graphs
-        self.base = base
-        blocks = base_period // m0
+        self.inner = inner
         self._block_size = graphs[-1].n_left
-        period = blocks * self._block_size
+        period = inner_period // m0 * self._block_size
         self.descriptor = GeneratorDescriptor(
-            "cascade", field, k, period, delta, base.descriptor.seed_len
+            self.kind, field, k, period, delta, inner.descriptor.seed_len
         )
-        self.seed = base.seed
-        self._m0 = m0
+        self.seed = inner.seed
         self._start()
 
-    def fork(self, seed) -> "CascadeGenerator":
-        return CascadeGenerator(
-            self.field, self.descriptor.k, self.graphs,
-            self.base.fork(seed), self.descriptor.delta,
-        )
+    def fork(self, seed):
+        gen = copy.copy(self)
+        gen.inner = self.inner.fork(seed)
+        gen.seed = gen.inner.seed
+        gen._start()
+        return gen
 
     def _next_block(self, need: int) -> np.ndarray:
-        values = self.base.emit_batch(self._m0)
+        values = self.inner.emit_batch(self.graphs[0].m)
         for g in self.graphs:
             values = g.row_sums(self.field, values)
         return values
+
+
+class ExpanderGenerator(CascadeGenerator):
+    """The one-level cascade: output x is the field sum of the right-table
+    entries adjacent to left vertex x, over m consecutive inner outputs."""
+
+    kind = "expander"
+
+    def __init__(self, field, k: int, graph: BipartiteGraph, inner, delta: float):
+        super().__init__(field, k, [graph], inner, delta)
+        self.graph = graph
 
 
 # --------------------------------------------------------------------------
@@ -380,9 +354,8 @@ def _poly_period(field, kind: str) -> int:
     return field.p - 1 if kind == "fft-batch" and isinstance(field, Gfp) else field.order
 
 
-def _make_inner(field, kind: str, k_needed: int, rng: random.Random,
-                seed=None, omega: int | None = None):
-    """Inner/base generator of the requested kind supplying >= k_needed
+def _make_inner(field, kind: str, k_needed: int, rng: random.Random, seed=None):
+    """Inner generator of the requested kind supplying >= k_needed
     independence (rounded up to what the kind supports)."""
     if kind == "horner":
         k_inner = k_needed
@@ -402,7 +375,7 @@ def _make_inner(field, kind: str, k_needed: int, rng: random.Random,
         seed = tuple(field.random_element(rng) for _ in range(k_inner))
     if kind == "horner":
         return HornerGenerator(field, k_inner, seed)
-    return FftBatchGenerator(field, k_inner, seed, omega)
+    return FftBatchGenerator(field, k_inner, seed)
 
 
 def build_expander_generator(
@@ -415,7 +388,6 @@ def build_expander_generator(
     rng: random.Random | None = None,
     seed=None,
     graph: BipartiteGraph | None = None,
-    omega: int | None = None,
 ) -> ExpanderGenerator:
     """Sample (or accept) a (c, m, d) graph, compute its failure bound, and
     compose it with an inner generator of the requested kind."""
@@ -426,7 +398,7 @@ def build_expander_generator(
         raise ConfigError("supplied graph does not match (c, m, d)")
     bound = rank_failure_bound(c, m, d, k)
     need = required_independence(d * k, _poly_period(field, inner_kind))
-    inner = _make_inner(field, inner_kind, need, rng, seed, omega)
+    inner = _make_inner(field, inner_kind, need, rng, seed)
     return ExpanderGenerator(field, k, graph, inner, bound.delta)
 
 
@@ -592,8 +564,7 @@ def write_stream(gen, fh, count: int, header: bool = False):
     """
     field = gen.field
     if header:
-        line = gen.descriptor.header_line() + f" seed={seed_to_hex(field, gen.seed)}\n"
-        fh.write(line.encode())
+        fh.write(gen.descriptor.header_line(gen.seed).encode())
     written = 0
     for values in stream_chunks(gen, count):
         fh.write(_words_to_bytes(values, field.elem_bytes))

@@ -293,8 +293,7 @@ def _expander_ns(field, k, c, m, d, reps):
     gen = build_expander_generator(field, k, c, m, d, inner_kind="fft-batch",
                                    rng=random.Random(1000 + k))
     cycle = c * max(m, gen.inner.batch_size)
-    return measure_ns_per_value(lambda: gen.fork(gen.seed), cycle,
-                                repetitions=reps, warmup=1)
+    return measure_ns_per_value(lambda: gen.fork(gen.seed), cycle, repetitions=reps)
 
 
 def test_acceptance_08_constant_time_trend():

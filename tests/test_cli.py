@@ -240,6 +240,11 @@ def test_verify_pass_fail_guard_exit_codes(capsys):
     code, _, err = run_cli(
         ["verify", "--field", "gfp:101", "--kind", "horner", "--k", "4"], capsys)
     assert code == 3 and "guard" in err
+    # a stream shorter than the checked length: the period of gfp:17 is 17
+    for extra in (["--screen", "--trials", "10"], ["--n", "40"]):
+        code, out, err = run_cli(
+            ["verify", "--field", "gfp:17", "--kind", "horner", "--k", "2", *extra], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("extra", [["--n", "2"], ["--max-positions", "0"]])
@@ -386,3 +391,12 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["00ab", "00ab"]
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.stats is most of kgen's start-up; only the chi-square screen needs it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kgen.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

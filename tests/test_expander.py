@@ -311,6 +311,20 @@ def test_beta_poisson_examples():
     assert all(a > b for a, b in zip(ratio_fixed, ratio_fixed[1:]))
 
 
+@pytest.mark.parametrize("d,m", [(3, 16), (4, 64), (7, 1 << 13)])
+def test_betas_on_arrays_match_scalar_calls(d, m):
+    # i*d is odd for odd i when d is odd: beta_pair is -inf there
+    sizes = np.array([1, 2, 3, 5, 8, 17, 40, 200])
+    for beta in (beta_pair, beta_poisson):
+        got = beta(sizes, d, m)
+        assert got.shape == sizes.shape
+        want = [beta(int(i), d, m) for i in sizes]
+        assert all(isinstance(v, float) for v in want)
+        assert got.tolist() == want
+    if d % 2:
+        assert beta_pair(3, d, m) == float("-inf")
+
+
 def test_rank_failure_bound_k1():
     r = rank_failure_bound(2, 16, 4, 1)
     want = math.log10(2 * 16) + min(beta_pair(1, 4, 16), beta_poisson(1, 4, 16))

@@ -313,21 +313,14 @@ def exhaustive_order(f, a):
 
 def test_find_primitive_element_small():
     f5 = Gfp(5)
-    w = find_primitive_element(f5, {2: 2})
+    w = find_primitive_element(f5)
     assert exhaustive_order(f5, w) == 4
     assert w in (2, 3)
     f7 = Gfp(7)
-    w = find_primitive_element(f7, {2: 1, 3: 1})
+    w = find_primitive_element(f7)
     assert exhaustive_order(f7, w) == 6
     assert w in (3, 5)
     assert find_primitive_element(Gfp(3)) == 2
-
-
-def test_find_primitive_element_rejects_bad_factorization():
-    with pytest.raises(FieldError):
-        find_primitive_element(Gfp(13), {2: 1, 3: 1})  # 6 != 12
-    with pytest.raises(FieldError):
-        find_primitive_element(Gfp(13), {4: 1, 3: 1})  # 4 not prime
 
 
 def test_find_primitive_element_large():

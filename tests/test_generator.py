@@ -205,12 +205,11 @@ def test_fft_batch_fork_shares_plan_data(spec, k):
     head = parent.emit_batch(3 * k + 1)
     seed = [f.random_element(rng) for _ in range(k)]
     child = parent.fork(seed)
-    omega = getattr(parent._plan, "omega", None)
-    fresh = FftBatchGenerator(f, k, seed, omega)
+    fresh = FftBatchGenerator(f, k, seed)
     assert child.emit_batch(4 * k) == fresh.emit_batch(4 * k)
     tail = parent.emit_batch(k)
     assert tail != child.emit_batch(k)
-    assert head + tail == FftBatchGenerator(f, k, parent_seed, omega).emit_batch(4 * k + 1)
+    assert head + tail == FftBatchGenerator(f, k, parent_seed).emit_batch(4 * k + 1)
     if spec.startswith("gfp"):
         assert child._plan is not parent._plan
         assert child._plan._vec_twiddles[0] is parent._plan._vec_twiddles[0]
@@ -447,7 +446,7 @@ def test_cascade_t2_unrolled_recursion():
                                    rng=random.Random(11), m0=4)
     assert casc.descriptor.period == 2 * 2 * 16  # c^t * base period
     g1, g2 = casc.graphs
-    base_vals = casc.base.fork(casc.seed).emit_batch(16)
+    base_vals = casc.inner.fork(casc.seed).emit_batch(16)
     stream = casc.emit_batch(casc.descriptor.period)
     for block in range(4):
         t0 = base_vals[4 * block:4 * (block + 1)]
