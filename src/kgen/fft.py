@@ -9,19 +9,23 @@ Two engines:
   not depend on the shift, so a caller evaluating one polynomial on many
   cosets runs it once; `bottom_up` (the butterflies) takes the shift only
   through one multiplier u_d per level, which is F_2-linear in the shift,
-  and evaluates many cosets in one call.  `evaluate_vec` is the two passes
+  and evaluates many cosets in one call.  Lane products go through
+  `Gf2w.mul_lanes` with multipliers in the field's lane form, so the plan
+  never knows how the field multiplies.  `evaluate_vec` is the two passes
   for one coset; the scalar recursion `evaluate` is their oracle and keeps
   the operation counts; and
 * a multiplicative-coset DFT over GF(p) that walks the cosets
-  omega^j * <omega_k>, which partition F_p^* exactly.  For p < 2^32 a numpy
-  transform evaluates a whole coset at once; the scalar radix-2 DFT is its
-  oracle and the path for larger p.
+  omega^j * <omega_k>, which partition F_p^* exactly.  `evaluate_coset_vec`
+  evaluates a whole coset into a uint64 array for every p: a numpy
+  transform for p < 2^32, the scalar radix-2 DFT above, which is also the
+  numpy transform's oracle.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -52,12 +56,12 @@ class AdditiveFftPlan:
     so a shift that is a multiple of 2^s enumerates its coset in word order.
 
     Besides the scalar levels, the plan holds the fixed multipliers of the
-    lane passes, built at the first lane pass: over w <= 16 the twists'
-    discrete logs, else one nibble table of 16*ceil(w/4) words per twist
-    and combo, about 2^(s+1) of them (1 MiB at w=64, s=8, doubling with
-    each step of s).  The u_d of the shifts 1 << b (or their nibble tables,
-    s*2 KiB per bit at w=64) are added on first use, for the bits the
-    shifts reach.
+    lane passes in the field's lane form (`Gf2w.lane_multipliers`), built
+    at the first lane pass: one per twist and combo, about 2^(s+1) of them
+    (as nibble tables of 16*ceil(w/4) words each, 1 MiB at w=64, s=8,
+    doubling with each step of s).  The u_d of the shifts 1 << b (s*2 KiB
+    per bit as nibble tables at w=64) are added on first use, for the bits
+    the shifts reach.
     """
 
     def __init__(self, field: Gf2w, s: int):
@@ -89,28 +93,20 @@ class AdditiveFftPlan:
             cur = [field.add(field.mul(g, g), g) for g in norm[1:]]
         # the _shift_operands row of shift 0; _shift_units adds the rows of
         # the shift bits on first use
-        tail = () if field.has_log_tables else ((field.w + 3) // 4, 16)
-        self._units = np.zeros((1, s) + tail, dtype=np.uint64)
+        self._units = field.lane_multipliers(np.zeros((1, s), dtype=np.uint64))
 
     @functools.cached_property
     def _lanes(self) -> tuple[list, list]:
-        """The fixed multipliers of top_down and bottom_up, per level, built
-        at their first use (a plan that only serves `evaluate` or `points`
-        never builds them): the twists as discrete logs (w <= 16) or nibble
-        tables, and the combos as arrays (w <= 16) or nibble tables.  All
-        nibble tables come from one nibble_tables call; they are immutable
-        and shared by every caller."""
-        f = self.field
-        if f.has_log_tables:
-            twists = [None if l.twists is None else f.lane_logs(np.array(l.twists, dtype=np.uint64))
-                      for l in self.levels]
-            return twists, [np.array(l.combos, dtype=np.uint64) for l in self.levels]
-        consts = [l.twists for l in self.levels if l.twists is not None]
-        consts += [l.combos for l in self.levels]
-        tables = f.nibble_tables([t for c in consts for t in c])
-        views = iter(np.split(tables, np.cumsum([len(c) for c in consts])[:-1]))
-        twists = [None if l.twists is None else next(views) for l in self.levels]
-        return twists, [next(views) for _ in self.levels]
+        """The fixed multipliers of top_down and bottom_up, per level, in the
+        field's lane form, built at their first use (a plan that only serves
+        `evaluate` or `points` never builds them): the twists (None where
+        lambda is 1) and the combos.  All are slices of one
+        lane_multipliers array, immutable and shared by every caller."""
+        groups = [l.twists for l in self.levels] + [l.combos for l in self.levels]
+        mults = self.field.lane_multipliers([t for g in groups if g is not None for t in g])
+        ends = itertools.accumulate(0 if g is None else len(g) for g in groups)
+        views = [None if g is None else mults[e - len(g):e] for g, e in zip(groups, ends)]
+        return views[:self.s], views[self.s:]
 
     def points(self, shift: int = 0) -> list[int]:
         """The evaluation points in output order."""
@@ -140,8 +136,8 @@ class AdditiveFftPlan:
         At depth d all 2^d sub-problems share the level's twists, so the
         recursion runs over the (2^d, n/2^d) view of one array: twist,
         Taylor-expand (two slice XORs per block size) and split even/odd
-        coefficients into consecutive rows.  Products take the field's log
-        tables for w <= 16, else the plan's nibble tables.
+        coefficients into consecutive rows.  The twists multiply through
+        one `mul_lanes` per level.
         """
         f = self.field
         n = self.size
@@ -155,10 +151,7 @@ class AdditiveFftPlan:
         for d, lvl in enumerate(self.levels):
             m = n >> d
             if lvl.lam != 1:
-                tw = twists[d]
-                rows = x.reshape(-1, m)
-                x = (f.lane_exp(f.lane_logs(rows) + tw) if f.has_log_tables
-                     else f.mul_lanes(tw, rows)).reshape(n)
+                x = f.mul_lanes(twists[d], x.reshape(-1, m)).reshape(n)
             size = m
             while size > 2:
                 v = x.reshape(-1, size)
@@ -176,10 +169,9 @@ class AdditiveFftPlan:
 
         From the deepest level up, over the (B, 2^d, 2, n/2^(d+1)) view:
         the butterflies e = g0 + (u_d + combos[i]) g1 and out = [e, e + g1],
-        interleaved; u_d is the only term that depends on the shift.  Over
-        w <= 16 the multipliers' logs are taken per batch and column; over
-        w > 16 a nibble table is linear in its multiplier, so u_d's table is
-        XORed into the combos' tables.
+        interleaved; u_d is the only term that depends on the shift.  The
+        lane form is F_2-linear in its multiplier, so u_d's form is XORed
+        into the combos' forms and each level is one `mul_lanes`.
         """
         f = self.field
         for shift in (min(shifts), max(shifts)):
@@ -188,17 +180,12 @@ class AdditiveFftPlan:
         combos = self._lanes[1]
         ops = self._shift_operands(shifts)
         batches = ops.shape[0]
-        logs = f.has_log_tables
         x = x.reshape(1, n)
         for d in reversed(range(self.s)):
             half = n >> (d + 1)
             y = x.reshape(x.shape[0], -1, 2, half)
             g0, g1 = y[:, :, 0], y[:, :, 1]
-            if logs:
-                mult = f.lane_logs(combos[d] ^ ops[:, d, None])
-                prod = f.lane_exp(f.lane_logs(g1) + mult[:, None])
-            else:
-                prod = f.mul_lanes((combos[d] ^ ops[:, d, None])[:, None], g1)
+            prod = f.mul_lanes((combos[d] ^ ops[:, d, None])[:, None], g1)
             out = np.empty((batches, y.shape[1], half, 2), dtype=np.uint64)
             np.bitwise_xor(g0, prod, out=out[..., 0])
             np.bitwise_xor(out[..., 0], g1, out=out[..., 1])
@@ -208,11 +195,11 @@ class AdditiveFftPlan:
         return x
 
     def _shift_operands(self, shifts: Sequence[int]) -> np.ndarray:
-        """The multipliers u_d that each shift contributes at depth d, shape
-        (B, s), or over w > 16 their nibble tables, (B, s, ceil(w/4), 16).
+        """The multipliers u_d that each shift contributes at depth d, in lane
+        form: shape (B, s), plus the nibble axes where the form has them.
 
         u_0 is the shift over lambda_0 and u_(d+1) is (u_d^2 + u_d) over
-        lambda_(d+1), so u_d, and its table, is F_2-linear in the shift: a
+        lambda_(d+1), so u_d, and its lane form, is F_2-linear in the shift: a
         row is the previous shift's row XOR the rows of the bits that
         change (one bit between Gray-coded shifts)."""
         units = self._shift_units(max(shifts).bit_length())
@@ -246,9 +233,7 @@ class AdditiveFftPlan:
                     row.append(u)
                     u = f.mul(u, u) ^ u
                 rows.append(row)
-            new = np.array(rows, dtype=np.uint64).reshape(len(rows), self.s)
-            if not f.has_log_tables:
-                new = f.nibble_tables(new.reshape(-1)).reshape(new.shape + units.shape[2:])
+            new = f.lane_multipliers(np.array(rows, dtype=np.uint64).reshape(len(rows), self.s))
             units = self._units = np.concatenate([units, new])
         return units
 
@@ -407,8 +392,9 @@ class CosetDftPlan:
         return self.dft(self.twist_coefficients(coeffs))
 
     def evaluate_coset_vec(self, coeffs: np.ndarray) -> np.ndarray:
-        """evaluate_coset on a uint64 array of canonical coefficients, for
-        p < 2^32; bit-identical to the scalar path.
+        """evaluate_coset on a uint64 array of canonical coefficients, into
+        a uint64 array; for p >= 2^32 it is the scalar evaluate_coset, below
+        that a numpy transform bit-identical to it.
 
         The twist powers omega^(j*i) are built by doubling.  The transform
         is radix-2 decimation in time in the self-sorting (Stockham) order,
@@ -420,11 +406,11 @@ class CosetDftPlan:
         a precomputed quotient (Shoup), sums by a conditional subtraction.
         """
         p = self.field.p
-        if p >= 1 << 32:
-            raise FieldError("the vector coset DFT needs p < 2^32")
         k = self.k
         if coeffs.shape != (k,):
             raise FieldError("coefficient count must equal the transform length")
+        if self._vec_twiddles is None:
+            return np.array(self.evaluate_coset(coeffs.tolist()), dtype=np.uint64)
         tw, tw_q = self._vec_twiddles
         P = np.uint64(p)
         twist = np.empty(k, dtype=np.uint64)

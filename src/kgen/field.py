@@ -55,13 +55,6 @@ def clmul_wide(a: int, b: int) -> int:
     return int(p.to_bytes(nb + 1, "big").translate(_FROM_BYTES01), 2)
 
 
-def clmul(a: int, b: int) -> int:
-    """Carryless multiply; fast path for word-sized operands."""
-    if a < (1 << 64) and b < (1 << 64):
-        return clmul_wide(a, b)
-    return clmul_portable(a, b)
-
-
 # --------------------------------------------------------------------------
 # Small number-theory helpers
 # --------------------------------------------------------------------------
@@ -198,8 +191,9 @@ class Gf2w:
     Multiplication is carryless product followed by a sparse-polynomial
     Barrett-style reduction; for w <= 16 a discrete-log table is additionally
     built so that products cost three lookups.  Both routes are bit-identical.
-    Lanes of uint64 arrays multiply through the same log tables for w <= 16,
-    or through per-multiplier nibble tables.
+    Lanes of uint64 arrays multiply by `mul_lanes` with multipliers that
+    `lane_multipliers` puts in the field's lane form; the field alone picks
+    that form (log tables or nibble tables), and callers only pass it on.
     """
 
     char = 2
@@ -272,7 +266,7 @@ class Gf2w:
         n, step = 1, gen
         while n < order:
             take = min(n, order - n)
-            exp[n:n + take] = self.mul_lanes(self.nibble_tables([step]), exp[:take])
+            exp[n:n + take] = self._mul_nibbles(self.nibble_tables([step]), exp[:take])
             n, step = 2 * n, self.mul(step, step)
         # Lane products index exp_vec by log_a + log_b; a zero operand has
         # log 2*order, which lands every sum that involves it in the zeros.
@@ -293,9 +287,6 @@ class Gf2w:
         return a ^ b
 
     sub = add
-
-    def neg(self, a: int) -> int:
-        return a
 
     def reduce(self, z: int) -> int:
         """Reduce a carryless product z (< 2^(2w-1)) modulo g.
@@ -330,9 +321,6 @@ class Gf2w:
         """Shift-and-XOR route; used as the cross-check for the fast path."""
         return self.reduce(clmul_portable(a, b))
 
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise FieldError("negative exponent")
@@ -362,17 +350,19 @@ class Gf2w:
 
     # -- vectorized lanes (numpy uint64) ----------------------------------------
 
-    @property
-    def has_log_tables(self) -> bool:
-        return self._log_vec is not None
-
-    def lane_logs(self, a: np.ndarray) -> np.ndarray:
-        """Discrete logs of uint64 lanes (w <= 16); zero maps to 2*(2^w-1)."""
-        return self._log_vec.take(a)
-
-    def lane_exp(self, e: np.ndarray) -> np.ndarray:
-        """gen^e for e a sum of two lane_logs; 0 when either log was zero's."""
-        return self._exp_vec.take(e)
+    def lane_multipliers(self, consts) -> np.ndarray:
+        """The multipliers `consts` in the field's one lane form, the operand
+        `mul_lanes` takes: a uint64 array of the elements themselves where
+        the field has log tables (2 <= w <= 16), else their nibble_tables,
+        shape consts' shape + (ceil(w/4), 16).  Either form is F_2-linear
+        in the multiplier: the XOR of two forms is the form of the XOR."""
+        t = np.asarray(consts, dtype=np.uint64)
+        if self._log_vec is not None:
+            return t
+        tail = ((self.w + 3) // 4, 16)
+        if not t.any():  # the tables of 0 are zeros; keeps a plan's shift-0 row cheap
+            return np.zeros(t.shape + tail, dtype=np.uint64)
+        return self.nibble_tables(t.reshape(-1)).reshape(t.shape + tail)
 
     def nibble_tables(self, consts) -> np.ndarray:
         """Tables of the F_2-linear maps a -> t*a, one per multiplier t in
@@ -391,13 +381,22 @@ class Gf2w:
                            out=tables[:, :, 1 << i:2 << i])
         return tables
 
-    def mul_lanes(self, tables: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Products of uint64 lanes a with the multipliers whose
-        nibble_tables are `tables` (shape (*M, ceil(w/4), 16), M
-        broadcasting against a's shape), lane by lane: one gather over the
-        nibble indices of a, then an XOR over the nibbles.  M = (L,)
-        multiplies the last axis lane l by multiplier l; a single table
-        broadcasts over all lanes."""
+    def mul_lanes(self, mults: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Products of uint64 lanes a with multipliers in lane form (see
+        lane_multipliers), lane by lane; the multipliers' shape M (without
+        the nibble axes) broadcasts against a's shape.  M = (L,) multiplies
+        the last axis lane l by multiplier l; a single multiplier
+        broadcasts over all lanes.  Elements multiply through the log
+        tables: gen^(log t + log a), where a zero operand's log lands the
+        sum in the zeros."""
+        logs = self._log_vec
+        if logs is not None:
+            return self._exp_vec.take(logs.take(mults) + logs.take(a))
+        return self._mul_nibbles(mults, a)
+
+    def _mul_nibbles(self, tables: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """mul_lanes through nibble tables: one gather over the nibble
+        indices of a, then an XOR over the nibbles."""
         nq = tables.shape[-2]
         shifts = np.arange(0, 4 * nq, 4, dtype=np.uint64)
         idx = (a[..., None] >> shifts) & np.uint64(15)
@@ -447,10 +446,6 @@ class Gf2w:
         if not isinstance(a, int) or a < 0 or a > self.mask:
             raise FieldError(f"not a canonical GF(2^{self.w}) element: {a!r}")
 
-    def element_at(self, i: int) -> int:
-        """Domain enumeration order for sequential evaluation: word order."""
-        return i
-
     def random_element(self, rng: random.Random) -> int:
         return rng.randrange(self.order)
 
@@ -470,8 +465,6 @@ class Gf2w:
 class Gfp:
     """Context for GF(p), p prime and < 2^63; products are reduced with one
     wide-integer remainder."""
-
-    char_is_two = False
 
     def __init__(self, p: int):
         if not 2 <= p < (1 << 63):
@@ -505,14 +498,8 @@ class Gfp:
         s = a - b
         return s + self.p if s < 0 else s
 
-    def neg(self, a: int) -> int:
-        return self.p - a if a else 0
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
-
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -535,9 +522,6 @@ class Gfp:
     def validate(self, a: int):
         if not isinstance(a, int) or not 0 <= a < self.p:
             raise FieldError(f"not a canonical GF({self.p}) element: {a!r}")
-
-    def element_at(self, i: int) -> int:
-        return i
 
     def random_element(self, rng: random.Random) -> int:
         return rng.randrange(self.p)

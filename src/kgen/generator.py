@@ -45,6 +45,8 @@ from .entropy import spawn_rng
 from .errors import ConfigError, PeriodExhausted
 from .expander import (
     BipartiteGraph,
+    BoundResult,
+    _logsumexp10,
     check_graph_size,
     rank_failure_bound,
     sample_graph,
@@ -113,7 +115,7 @@ class HornerGenerator:
         if count > self.remaining:
             raise PeriodExhausted(f"{count} values requested, {self.remaining} remain")
         f = self.field
-        xs = [f.element_at(i) for i in range(self._pos, self._pos + count)]
+        xs = range(self._pos, self._pos + count)
         self._pos += count
         mul, add = f.mul, f.add
         top, rest = self.h.coeffs[-1], self.h.coeffs[-2::-1]
@@ -196,9 +198,8 @@ class FftBatchGenerator(_BlockStream):
     (one for `emit`, at most _LANE_CAP values), evaluated by one
     `bottom_up` pass.  Over GF(p) the batches are the multiplicative
     cosets omega^j * <omega_k>, which cover F_p^* exactly; period p-1.  A
-    block is one coset: one `CosetDftPlan.evaluate_coset_vec` for
-    p < 2^32, else the scalar `evaluate_coset`.  `fork` shares the plan's
-    immutable tables.
+    block is one coset: one `CosetDftPlan.evaluate_coset_vec`.  `fork`
+    shares the plan's immutable tables.
     """
 
     def __init__(self, field, k: int, seed):
@@ -251,9 +252,7 @@ class FftBatchGenerator(_BlockStream):
         self._next_batch = j + 1
         if j > 0:
             self._plan.advance_coset()
-        if self.field.p < 1 << 32:
-            return self._plan.evaluate_coset_vec(self._coeffs_vec)
-        return np.array(self._plan.evaluate_coset(self.seed), dtype=np.uint64)
+        return self._plan.evaluate_coset_vec(self._coeffs_vec)
 
     def _gray_shift(self, j: int) -> int:
         """Representative of batch j: the Gray code of j above the s
@@ -434,18 +433,11 @@ def build_cascade_generator(
         graphs = [
             sample_graph(c, c ** (i - 1) * m0, d, rng) for i in range(1, t + 1)
         ]
-    log_terms = []
-    for i, g in enumerate(graphs, start=1):
-        k_level = min(d ** (t - i) * k, g.n_left)
-        log_terms.append(rank_failure_bound(g.c, g.m, g.d, k_level).log10_delta)
-    top = max(log_terms)
-    if top >= 0.0:
-        delta = 1.0  # vacuous union bound: clamp to the trivial probability bound
-    elif top > -307:
-        delta = 10.0 ** top * sum(10.0 ** (x - top) for x in log_terms)
-    else:
-        delta = 0.0
-    return CascadeGenerator(field, k, graphs, base, min(delta, 1.0))
+    log_terms = np.array([
+        rank_failure_bound(g.c, g.m, g.d, min(d ** (t - i) * k, g.n_left)).log10_delta
+        for i, g in enumerate(graphs, start=1)
+    ])
+    return CascadeGenerator(field, k, graphs, base, BoundResult(_logsumexp10(log_terms)).delta)
 
 
 @dataclass(frozen=True)

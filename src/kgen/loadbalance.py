@@ -31,10 +31,6 @@ class SimulationResult:
     overflowed: bool | None  # vs capacity b when given
     bound: float | None = None
 
-    @property
-    def machines(self) -> int:
-        return len(self.per_machine_peak)
-
 
 def assign(tasks: Sequence[Task], m: int, gen) -> list[int]:
     """machine(i) = emit() mod m, in task order, blind to task contents.

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import FieldError, Gf2w
+from .field import FieldError, Gf2w, Gfp
 
 
 @dataclass(frozen=True)
@@ -47,32 +47,71 @@ def horner_eval(h: Polynomial, x: int) -> int:
 def naive_multipoint(h: Polynomial, points: Sequence[int]) -> list[int]:
     """Elementwise Horner evaluation; the correctness oracle for FFT paths.
 
-    For wide binary fields the lanes are evaluated with the vectorized
-    shift-and-XOR route, which is independent of (and cross-checked against)
-    the scalar fast multiplication path.
+    From 64 points on, GF(p) with p < 2^32 and GF(2^w) with w > 16 run
+    Horner on uint64 lanes, one lane per point, with arithmetic of their
+    own that shares no code with the field's lane products: over GF(p)
+    each step is exact below 2^64 (acc*x + c <= p(p-1)), and over GF(2^w)
+    each point gets its own nibble tables.
     """
     f = h.field
-    if isinstance(f, Gf2w) and f.w > 16 and len(points) >= 64:
-        return _naive_multipoint_lanes(h, points)
-    return [horner_eval(h, x) for x in points]
+    lanes = None
+    if isinstance(f, Gfp) and f.p < 1 << 32:
+        lanes = _horner_lanes_gfp
+    elif isinstance(f, Gf2w) and f.w > 16:
+        lanes = _horner_lanes_gf2w
+    if lanes is None or len(points) < 64:
+        return [horner_eval(h, x) for x in points]
+    for x in (min(points), max(points)):
+        f.validate(x)
+    return lanes(h, np.array(points, dtype=np.uint64))
 
 
-def _naive_multipoint_lanes(h: Polynomial, points: Sequence[int]) -> list[int]:
-    f = h.field
-    xs = np.array(points, dtype=np.uint64)
-    one = np.uint64(1)
-    # per-lane masks for the bits of x are fixed across Horner steps
-    masks = [np.uint64(0) - ((xs >> np.uint64(j)) & one) for j in range(f.w)]
-    acc = np.full_like(xs, np.uint64(h.coeffs[-1]))
+def _horner_lanes_gfp(h: Polynomial, xs: np.ndarray) -> list[int]:
+    p = np.uint64(h.field.p)
+    acc = np.full(len(xs), h.coeffs[-1], dtype=np.uint64)
     for c in reversed(h.coeffs[:-1]):
-        lo = np.zeros_like(xs)
-        hi = np.zeros_like(xs)
-        for j, mask in enumerate(masks):
-            jj = np.uint64(j)
-            lo ^= (acc << jj) & mask
-            hi ^= ((acc >> np.uint64(63 - j)) >> one) & mask
-        acc = f._reduce_vec(hi, lo) ^ np.uint64(c)
-    return [int(v) for v in acc]
+        acc *= xs
+        acc += np.uint64(c)
+        acc %= p
+    return acc.tolist()
+
+
+# Points per block of _horner_lanes_gf2w: their tables take 2 KiB a point
+# at w=64, so a block stays in cache and the tables' size is bounded.
+_LANE_BLOCK = 512
+
+
+def _horner_lanes_gf2w(h: Polynomial, xs: np.ndarray) -> list[int]:
+    """Per block of points: the rows x*X^j mod g, j < w, by shift-and-fold
+    with g; from them the tables T[q, i, v] = x_i * (v X^(4q)) by doubling
+    over the bits of the nibble v; then each Horner step gathers one entry
+    per nibble of acc and XORs them."""
+    f = h.field
+    nq = (f.w + 3) // 4
+    one, top, mask = np.uint64(1), np.uint64(f.w - 1), np.uint64(f.mask)
+    tail = np.uint64(f.g & f.mask)  # X^w mod g
+    shifts = np.arange(0, 4 * nq, 4, dtype=np.uint64)[:, None]
+    out = []
+    for at in range(0, len(xs), _LANE_BLOCK):
+        r = xs[at:at + _LANE_BLOCK]
+        n = len(r)
+        bits = np.zeros((4 * nq, n), dtype=np.uint64)
+        for j in range(f.w):
+            bits[j] = r
+            r = ((r << one) & mask) ^ (tail & (np.uint64(0) - (r >> top)))
+        bits = bits.reshape(nq, 4, n)
+        tables = np.zeros((nq, n, 16), dtype=np.uint64)
+        for i in range(4):
+            np.bitwise_xor(tables[:, :, :1 << i], bits[:, i, :, None],
+                           out=tables[:, :, 1 << i:2 << i])
+        flat = tables.reshape(-1)
+        base = np.arange(0, flat.size, 16, dtype=np.uint64).reshape(nq, n)
+        acc = np.full(n, h.coeffs[-1], dtype=np.uint64)
+        for c in reversed(h.coeffs[:-1]):
+            acc = np.bitwise_xor.reduce(flat.take(((acc >> shifts) & np.uint64(15)) + base), axis=0)
+            acc ^= np.uint64(c)
+        out += acc.tolist()
+    return out
 
 
 def random_polynomial(field, k: int, rng: random.Random) -> Polynomial:

@@ -196,14 +196,28 @@ def test_lane_products_match_scalar_mul(w):
     a = np.array([[f.random_element(rng) for _ in consts] for _ in range(5)] + [[0] * 16],
                  dtype=np.uint64)
     want = [[f.mul_portable(int(x), t) for x, t in zip(row, consts)] for row in a.tolist()]
+    # the field's lane form: elements (2 <= w <= 16) or nibble tables
+    mults = f.lane_multipliers(consts)
+    assert f.mul_lanes(mults, a).tolist() == want
+    # one multiplier broadcasts over every lane
+    assert f.mul_lanes(mults[2:3], a[0]).tolist() == [f.mul(int(x), f.mask) for x in a[0]]
+    # the nibble route, which builds the log tables, at every w
     tables = f.nibble_tables(consts)
     assert tables.shape == (16, (w + 3) // 4, 16)
-    assert f.mul_lanes(tables, a).tolist() == want
-    # one table broadcasts over every lane
-    assert f.mul_lanes(tables[2:3], a[0]).tolist() == [f.mul(int(x), f.mask) for x in a[0]]
-    if f.has_log_tables:
-        b = np.array(consts, dtype=np.uint64)
-        assert f.lane_exp(f.lane_logs(a) + f.lane_logs(b)).tolist() == want
+    assert f._mul_nibbles(tables, a).tolist() == want
+
+
+@pytest.mark.parametrize("w", [2, 8, 16, 24, 64])
+def test_lane_multipliers_are_f2_linear(w):
+    # AdditiveFftPlan._shift_operands XORs lane forms of the shift bits
+    f = Gf2w(w)
+    rng = random.Random(400 + w)
+    a = np.array([[f.random_element(rng) for _ in range(3)] for _ in range(4)], dtype=np.uint64)
+    b = np.array([[f.random_element(rng) for _ in range(3)] for _ in range(4)], dtype=np.uint64)
+    la, lb = f.lane_multipliers(a), f.lane_multipliers(b)
+    assert la.shape[:2] == a.shape
+    assert np.array_equal(la ^ lb, f.lane_multipliers(a ^ b))
+    assert np.array_equal(f.lane_multipliers(np.zeros_like(a)), la ^ la)
 
 
 def test_gf2w_pow():
@@ -289,7 +303,7 @@ def test_gfp_axioms(p):
         assert f.mul(a, b) == f.mul(b, a)
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert f.add(a, f.neg(a)) == 0
+        assert f.add(a, f.sub(0, a)) == 0
         if a:
             assert f.mul(a, f.inv(a)) == 1
 

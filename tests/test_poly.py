@@ -43,13 +43,14 @@ def test_naive_multipoint_examples():
 
 
 def test_naive_multipoint_lane_path_matches_scalar():
-    f = Gf2w(64)
     rng = random.Random(17)
-    h = random_polynomial(f, 9, rng)
-    pts = [f.random_element(rng) for _ in range(96)]
-    fast = naive_multipoint(h, pts)  # lane-vectorized path (>= 64 points)
-    slow = [horner_eval(h, x) for x in pts]
-    assert fast == slow
+    for f in (Gfp(4294967291), Gfp(2013265921), Gf2w(24), Gf2w(64)):
+        h = random_polynomial(f, 9, rng)
+        # the field's extremes included; 600 points span two lane blocks
+        pts = [0, 1, f.order - 1] + [f.random_element(rng) for _ in range(597)]
+        fast = naive_multipoint(h, pts)  # lane-vectorized path (>= 64 points)
+        slow = [horner_eval(h, x) for x in pts]
+        assert fast == slow, f
 
 
 def test_random_polynomial_shapes():
@@ -90,7 +91,7 @@ def test_exact_independence_by_full_family_enumeration(field, k):
     across all |F|^k polynomials."""
     if k > field.order:
         pytest.skip("k exceeds field size")
-    points = [field.element_at(i) for i in range(k)]
+    points = range(k)
     seen = {}
     for coeffs in product(range(field.order), repeat=k):
         h = Polynomial(field, coeffs)
