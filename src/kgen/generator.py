@@ -22,8 +22,8 @@ slices of it, and `emit` and `emit_batch` read from it as Python ints.  An
 fft-batch block over GF(2^w) is the batches one request spans, in one
 bottom-up transform pass (a GF(p) block is one coset); a cascade block is
 the left outputs of one gather per level, where `BipartiteGraph.row_sums`
-gathers the right table column by column and reduces by XOR over GF(2^w)
-or modular addition over GF(p).
+gathers a word-sized right table slab by slab of left vertices and reduces
+in place, by XOR over GF(2^w) or modular addition over GF(p).
 `stream_chunks` takes a stream in chunks of 2^16 values, which
 `write_stream` serializes with one `tobytes` each.
 

@@ -1,10 +1,12 @@
 import math
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from kgen import expander
 from kgen.errors import GuardExceeded
 from kgen.expander import (
     MAX_GRAPH_ENTRIES,
@@ -24,6 +26,7 @@ from kgen.expander import (
     stack,
     unique_failure_bound,
 )
+from kgen.field import Gf2w, Gfp
 
 
 # -- independent second oracle for k-uniqueness ---------------------------------
@@ -138,6 +141,59 @@ def test_graph_validation():
         BipartiteGraph(1, 2, 1, ((0,), (2,)))  # index out of range
     with pytest.raises(ValueError):
         BipartiteGraph(1, 2, 2, ((0, 0), (1,)))  # duplicates
+
+
+# -- gather ----------------------------------------------------------------------
+
+# uint32 tables: gfp:13, gfp:2013265921, gf2w:16, gf2w:32; uint64 tables:
+# gfp:4294967291 (2^31 <= p < 2^32, where a uint32 sum of two residues would
+# wrap), p just below 2^63, and w = 33 and 64.  No built-in polynomial gives
+# GF(2^33); row_sums reads only a field's char and order (and p), so a
+# stand-in with those stands for it.
+_GATHER_FIELDS = {
+    "gfp:13": Gfp(13),
+    "gfp:2013265921": Gfp(2013265921),
+    "gfp:4294967291": Gfp(4294967291),
+    "gfp:9223372036853661697": Gfp(9223372036853661697),
+    "gf2w:16": Gf2w(16),
+    "gf2w:32": Gf2w(32),
+    "gf2w:33": SimpleNamespace(char=2, order=1 << 33, add=lambda a, b: a ^ b),
+    "gf2w:64": Gf2w(64),
+}
+
+
+def _row_sums_oracle(field, g, values):
+    out = []
+    for row in g.adjacency:
+        acc = 0
+        for y in row:
+            acc = field.add(acc, values[y])
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("rows", [16, 15, 14, 4],
+                         ids=["below-slab", "one-slab", "slab-plus-one", "slabs-plus-remainder"])
+@pytest.mark.parametrize("spec", sorted(_GATHER_FIELDS))
+def test_row_sums_matches_adjacency_sums(monkeypatch, spec, rows):
+    monkeypatch.setattr(expander, "_GATHER_ROWS", rows)
+    field = _GATHER_FIELDS[spec]
+    top = field.order - 1
+    rng = random.Random(rows)
+    for d in (1, 3, 8):  # d=8 > m: every row is padded
+        g = sample_graph(3, 5, d, rng)  # 15 left vertices
+        values = [top, top - 1, top, rng.randrange(field.order), 0]
+        got = g.row_sums(field, values)
+        assert got.dtype == np.uint64
+        assert got.tolist() == _row_sums_oracle(field, g, values)
+
+
+def test_row_sums_rejects_values_of_the_wrong_length():
+    g = BipartiteGraph(2, 4, 2, ((0, 1), (1,), (2, 3), (0,), (3,), (1, 2), (0, 3), (2,)))
+    for values in ([5], [1, 2, 3], [1, 2, 3, 4, 5]):
+        with pytest.raises(ValueError, match="4 right values"):
+            g.row_sums(Gfp(13), values)
+    assert g.row_sums(Gfp(13), [12, 11, 10, 9]).tolist() == [10, 11, 6, 12, 9, 8, 8, 10]
 
 
 def test_stack_examples():
