@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import time
 
 from . import analysis, bench, loadbalance
 from .entropy import fresh_seed, spawn_rng
@@ -142,11 +143,13 @@ def _bench_expander_row(args, k, row) -> float:
 
 def cmd_bench(args) -> int:
     field = parse_field_spec(args.field)
-    print("k,kind,ns_per_value,inner_ns,lookup_ns")
+    print("k,kind,setup_s,ns_per_value,inner_ns,lookup_ns")
     for k in args.k:
         for kind in args.kinds.split(","):
+            t0 = time.perf_counter()
             proto = build(GeneratorSpec(kind, field, k, c=args.c or 4, m=args.m or 1 << 13,
                                         d=args.d or 8, graph_seed=args.graph_seed))
+            setup_s = time.perf_counter() - t0
             seed = seed_from_int(field, proto.descriptor.seed_len, args.graph_seed)
             make = lambda: proto.fork(seed)
             period = proto.descriptor.period
@@ -163,7 +166,7 @@ def cmd_bench(args) -> int:
                 values = min(max(args.values, batch), period)
                 values -= values % batch
                 cols = f"{bench.measure_ns_per_value(make, values, args.reps):.1f},,"
-            print(f"{k},{kind},{cols}")
+            print(f"{k},{kind},{setup_s:.4f},{cols}")
     return EXIT_OK
 
 
@@ -285,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph-seed", type=int, default=0)
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("bench", help="ns/value for generator kinds")
+    p = sub.add_parser("bench", help="set-up seconds and ns/value for generator kinds")
     p.add_argument("--field", default="gf2w:64")
     p.add_argument("--k", type=_parse_int_list, required=True)
     p.add_argument("--kinds", default="horner,fft-batch,expander")

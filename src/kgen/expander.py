@@ -16,11 +16,12 @@ survive.
 from __future__ import annotations
 
 import math
+import mmap
 import random
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, repeat
+from itertools import combinations
 
 import numpy as np
 
@@ -46,6 +47,9 @@ MAX_GRAPH_ENTRIES = 1 << 27
 # Left vertices `row_sums` gathers per slab: at d=8 the slab's intp index
 # buffer is 1 MiB and its two accumulators 128-256 KiB, small beside the graph.
 _GATHER_ROWS = 1 << 14
+
+# Most 32-bit words one `_draw_below` round asks the rng for (256 KiB).
+_DRAW_WORDS = 1 << 16
 
 
 def check_graph_size(entries: int, what: str = "graph"):
@@ -223,17 +227,53 @@ class _Rows(Sequence):
         return all(a == b for a, b in zip(self, other))
 
 
+def _draw_below(rng: random.Random, m: int, out: np.ndarray) -> None:
+    """Fill the flat uint32 array `out` with `[rng.randrange(m) for _ in out]`,
+    and leave `rng` where those calls would, for 1 <= m < 2^32.
+
+    CPython's randrange(m) takes one 32-bit Mersenne-Twister word w per
+    attempt and keeps w >> (32 - m.bit_length()) if it is below m.
+    `getrandbits(32 * W)` holds the next W such words, least significant
+    first, so each round draws as many words as draws are still missing
+    (at most `_DRAW_WORDS`), shifts them and keeps those below m.  Every
+    draw takes at least one word, so a round never takes a word the
+    sequential calls would not.
+    """
+    if not 1 <= m < 1 << 32:
+        raise ValueError(f"_draw_below needs 1 <= m < 2^32, got {m}")
+    shift = np.uint32(32 - m.bit_length())
+    n, filled = len(out), 0
+    while filled < n:
+        want = min(n - filled, _DRAW_WORDS)
+        raw = rng.getrandbits(32 * want).to_bytes(4 * want, "little")
+        words = np.frombuffer(raw, dtype="<u4") >> shift
+        kept = words[words < m]
+        out[filled:filled + len(kept)] = kept
+        filled += len(kept)
+
+
 def sample_graph(c: int, m: int, d: int, rng: random.Random) -> BipartiteGraph:
     """For each left vertex independently: d uniform draws from [m], deduplicated.
 
-    The draws go straight into the padded array, row after row, in the order
-    the row-tuple sampler made them, so a seeded rng gives the same graph.
+    The draws are exactly `rng.randrange(m)` made c*m*d times, row after row
+    in the order the row-tuple sampler made them, and `rng` is left in the
+    state those calls leave; `_draw_below` makes them in bulk.  So a seeded
+    rng gives the same graph, and whatever the caller draws next from it
+    (an inner seed, the next cascade level) is the same too.
+
+    The (c*m, d) array lives in an anonymous mmap, not on the malloc heap:
+    when glibc frees a chunk malloc had mmapped, it raises its mmap
+    threshold to that chunk's size, so dropping a malloc'd graph of some MiB
+    would move later buffers of that size onto the heap, where their freed
+    space stays in the process.
     """
     if c < 1 or m < 1 or d < 1:
         raise ValueError("c, m, d must all be >= 1")
     n = c * m * d
     check_graph_size(n)
-    edges = np.fromiter(map(rng.randrange, repeat(m, n)), np.uint32, n).reshape(c * m, d)
+    edges = np.frombuffer(mmap.mmap(-1, 4 * n), dtype=np.uint32)
+    _draw_below(rng, m, edges)
+    edges = edges.reshape(c * m, d)
     edges.sort(axis=1)
     dup = edges[:, 1:] == edges[:, :-1]
     edges[:, 1:][dup] = m

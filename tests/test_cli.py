@@ -380,7 +380,7 @@ def test_bench_csv_schema(capsys):
          "horner,fft-batch", "--values", "64", "--reps", "2"], capsys)
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "k,kind,ns_per_value,inner_ns,lookup_ns"
+    assert lines[0] == "k,kind,setup_s,ns_per_value,inner_ns,lookup_ns"
     assert len(lines) == 5
 
 

@@ -1,4 +1,5 @@
 import math
+import mmap
 import random
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -27,6 +28,7 @@ from kgen.expander import (
     unique_failure_bound,
 )
 from kgen.field import Gf2w, Gfp
+from kgen.generator import build_expander_generator
 
 
 # -- independent second oracle for k-uniqueness ---------------------------------
@@ -99,14 +101,67 @@ def tuple_sampler(c, m, d, rng):
                  for _ in range(c * m))
 
 
+def _assert_tuple_samplers_draws(c, m, d):
+    rng, ref = random.Random(c * m * d), random.Random(c * m * d)
+    g = sample_graph(c, m, d, rng)
+    rows = tuple_sampler(c, m, d, ref)
+    assert g.adjacency == rows
+    assert tuple(g.adjacency) == rows
+    assert g.adjacency[len(rows) - 1] == rows[-1]
+    assert g == BipartiteGraph(c, m, d, rows)
+    # what the caller draws next (an inner seed, the next level) is the same
+    assert rng.getstate() == ref.getstate()
+
+
 def test_sample_graph_makes_the_tuple_samplers_draws():
-    for c, m, d in ((1, 1, 3), (2, 8, 3), (4, 64, 4), (3, 5, 8), (2, 300, 1)):
-        g = sample_graph(c, m, d, random.Random(c * m * d))
-        rows = tuple_sampler(c, m, d, random.Random(c * m * d))
-        assert g.adjacency == rows
-        assert tuple(g.adjacency) == rows
-        assert g.adjacency[len(rows) - 1] == rows[-1]
-        assert g == BipartiteGraph(c, m, d, rows)
+    # m = 1, powers of two and 2^13 + 1 reject about half their words;
+    # (2, 2^13, 8) takes two full bulk rounds, then shorter ones
+    for c, m, d in ((1, 1, 3), (2, 8, 3), (4, 64, 4), (3, 5, 8), (2, 300, 1),
+                    (3, 2, 2), (1, 1 << 13, 2), (1, (1 << 13) + 1, 2),
+                    (1, 3 << 12, 2), (2, 1 << 13, 8)):
+        _assert_tuple_samplers_draws(c, m, d)
+
+
+def test_sample_graph_draws_across_small_rounds(monkeypatch):
+    # rounds of at most 5 words: every graph takes many rounds, most of
+    # them after a rejection
+    monkeypatch.setattr(expander, "_DRAW_WORDS", 5)
+    for c, m, d in ((1, 1, 3), (3, 5, 8), (2, 300, 1), (1, (1 << 13) + 1, 2)):
+        _assert_tuple_samplers_draws(c, m, d)
+
+
+@pytest.mark.parametrize("words", [5, 1 << 16])
+def test_draw_below_makes_randranges_draws_for_32_bit_m(monkeypatch, words):
+    # no graph: these m are beyond the size guard
+    monkeypatch.setattr(expander, "_DRAW_WORDS", words)
+    for m in ((1 << 31) + 5, (1 << 32) - 2, (1 << 32) - 1):
+        rng, ref = random.Random(m), random.Random(m)
+        out = np.empty(999, dtype=np.uint32)  # not a whole number of rounds
+        expander._draw_below(rng, m, out)
+        assert out.tolist() == [ref.randrange(m) for _ in range(999)]
+        assert rng.getstate() == ref.getstate()
+    for m in (0, 1 << 32):  # 2^32 takes two words per randrange attempt
+        with pytest.raises(ValueError):
+            expander._draw_below(random.Random(0), m, out)
+
+
+def test_sampled_graph_is_mmap_backed_and_shared_by_forks():
+    field = Gfp(2013265921)
+    gen = build_expander_generator(field, 4, 4, 64, 4, rng=random.Random(3))
+    g = gen.graph
+    base = g.edges
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base.obj, mmap.mmap)  # np.frombuffer's memoryview
+    assert not g.edges.flags.writeable
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 1
+    assert graph_from_bytes(graph_to_bytes(g)) == g
+    child = gen.fork(gen.seed)
+    assert child.graph is g
+    rng = random.Random(4)
+    values = [field.random_element(rng) for _ in range(g.m)]
+    assert g.row_sums(field, values).tolist() == _row_sums_oracle(field, g, values)
 
 
 def test_graph_array_layout():
