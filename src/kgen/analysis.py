@@ -1,31 +1,32 @@
-"""Verification that generator output is what it claims: exhaustive seed
-enumeration gives exact verdicts on tiny fields; a chi-square screen gives
-statistical smoke coverage at production scale.
+"""Exact verification that generator output is k-independent.
 
-The exhaustive check counts with arrays: the streams of all seeds form one
-position-major matrix, and each examined k-subset of positions is one
-`bincount` of mixed-radix tuple keys, so memory beyond the streams is
-O(#seeds + |F|^k) whatever the number of subsets.  It refuses (ConfigError)
-a check that would examine no subset, which would otherwise read as a pass."""
+Every kind is F-linear in its seed, so under a uniform seed k positions are
+jointly uniform exactly when their rows of the seed->stream matrix have rank
+k over F.  `rank_independence_check` decides that by elimination over F at
+any field size; it is what `kgen verify` runs.  `exhaustive_independence_check`
+enumerates every seed of a tiny field and counts each position subset with
+one `bincount`; it is the oracle the rank check is tested against.  Both
+refuse (ConfigError) a check that would examine no subset."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from itertools import combinations, islice, product
+from math import comb
 
 import numpy as np
 
 from .errors import ConfigError, GuardExceeded
 
 ENUM_GUARD = 10_000_000
+RANK_GUARD = 10_000_000  # field operations, about s*k*(k + subsets)
 POSITION_SUBSET_CAP = 200
-SCREEN_FAIL_QUANTILE = 1e-6
 
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    verdict: str  # exact-pass | exact-fail | screen-pass | screen-fail
+    verdict: str  # exact-pass | exact-fail
     k: int
     positions_examined: int
     worst_stat: float
@@ -59,10 +60,8 @@ def exhaustive_independence_check(
     `emit_batch(n)` is called once per seed, in `itertools.product` order.
     When C(n, k) exceeds the cap, a deterministic lexicographic prefix of the
     subsets is examined (reported via positions_examined, keeping the
-    exactness claim honest).  A check that would examine no subset (k < 1,
-    n < k or a cap below 1) is refused with `ConfigError` rather than
-    reported as a pass.  Seed spaces above ENUM_GUARD are rejected with the
-    scale that would be required.
+    exactness claim honest).  Seed spaces above ENUM_GUARD are rejected with
+    the scale that would be required.
 
     The streams are packed into one (n, #seeds) matrix.  Each subset's
     tuples are counted with one `bincount` of their mixed-radix keys
@@ -71,11 +70,7 @@ def exhaustive_independence_check(
     When |F|^k > #seeds no subset can pass; the first one fails with its
     distinct tuples counted row-wise (the keys could overflow there).
     """
-    if k < 1 or n < k or max_position_subsets < 1:
-        raise ConfigError(
-            f"exhaustive check with k={k}, n={n} and max_position_subsets="
-            f"{max_position_subsets} would examine no {k}-subset of positions"
-        )
+    _refuse_vacuous("exhaustive", k, n, max_position_subsets)
     order = field.order
     n_seeds = order ** seed_len
     if n_seeds > ENUM_GUARD:
@@ -87,14 +82,9 @@ def exhaustive_independence_check(
     streams = [make_generator(seed).emit_batch(n)
                for seed in product(range(order), repeat=seed_len)]
 
-    bad = _first_out_of_range(streams, order)
+    bad = _out_of_range(streams, order, k)
     if bad is not None:
-        seed_index, position, value = bad
-        return IndependenceReport(
-            "exact-fail", k, 0, 0.0,
-            detail=f"value={value} not in [0, {order}) seed_index={seed_index}"
-                   f" position={position}",
-        )
+        return bad
     columns = np.array(streams, dtype=np.uint64).T  # (n, #seeds)
     tuple_count = order ** k
     expected = n_seeds / tuple_count
@@ -128,70 +118,114 @@ def exhaustive_independence_check(
     return IndependenceReport("exact-pass", k, examined, worst)
 
 
-def _first_out_of_range(streams, order: int):
-    """(seed index, position, value) of the first stream value outside
-    [0, order), in materialization order, or None."""
+def _refuse_vacuous(name: str, k: int, n: int, max_position_subsets: int):
+    """Refuse, rather than pass, a check that examines no k-subset."""
+    if k < 1 or n < k or max_position_subsets < 1:
+        raise ConfigError(
+            f"{name} check with k={k}, n={n} and max_position_subsets="
+            f"{max_position_subsets} would examine no {k}-subset of positions"
+        )
+
+
+def _out_of_range(streams, order: int, k: int, seed_index=lambda s: s):
+    """The exact-fail report of the first value outside [0, order), or None;
+    `seed_index` maps a stream's place to its seed's enumeration index."""
     if min(map(min, streams)) >= 0 and max(map(max, streams)) < order:
         return None
     for s, stream in enumerate(streams):
         for i, v in enumerate(stream):
             if not 0 <= v < order:
-                return s, i, v
+                return IndependenceReport(
+                    "exact-fail", k, 0, 0.0,
+                    detail=f"value={v} not in [0, {order}) seed_index="
+                           f"{seed_index(s)} position={i}",
+                )
 
 
-def _low_bit_cell_probs(order: int, bits: int = 2) -> list[float]:
-    """Exact distribution of (element mod 2^bits) for a uniform canonical
-    element; uniform when 2^bits | order, slightly lopsided otherwise."""
-    cells = 1 << bits
-    base = order // cells
-    extra = order % cells
-    return [(base + (1 if r < extra else 0)) / order for r in range(cells)]
+def _ratio(a: int, b: int) -> float:
+    """a/b, or inf where it does not fit a float."""
+    try:
+        return a / b
+    except OverflowError:
+        return float("inf")
 
 
-def chi_square_screen(
-    stream_source,
+def rank_independence_check(
+    make_generator,
     field,
+    seed_len: int,
     k: int,
-    window: int,
-    trials: int,
-    rng: random.Random,
+    n: int,
+    max_position_subsets: int = POSITION_SUBSET_CAP,
 ) -> IndependenceReport:
-    """Joint-histogram screen over the low 2 bits of k positions.
+    """`exhaustive_independence_check`'s report, from ranks over F instead
+    of enumerated seeds.
 
-    `stream_source(seed)` returns at least `window` canonical elements; one
-    seed is drawn per trial.  Fails when the chi-square statistic lands above
-    the (1 - SCREEN_FAIL_QUANTILE) quantile of its null distribution.
+    The seed->stream matrix's columns are the streams of the seed_len unit
+    seeds, up to the last examined position.  A subset of rank r < k takes
+    |F|^r tuples |F|^(s-r) times each, so it fails with that count and
+    worst = max(e, |F|^(s-r) - e), e = |F|^s/|F|^k as enumeration has it.
+    Subsets come in lexicographic order, each keeping the echelon rows of
+    the prefix it shares with the one before, at about s*k field operations;
+    above RANK_GUARD operations in all, the check is refused.  Ranks speak
+    only for a map linear in the seed: a value outside [0, |F|), or a fixed
+    probe breaking f(a+b) = f(a)+f(b) or f(la) = l*f(a), fails it first.
     """
-    if k > 4:
-        raise GuardExceeded("screen holds joint histograms only up to k=4 positions")
-    positions = [round(i * (window - 1) / max(k - 1, 1)) for i in range(k)]
-    positions = sorted(set(positions))
-    while len(positions) < k:  # tiny window fallback
-        positions.append(positions[-1] + 1)
-    cell_p = _low_bit_cell_probs(field.order)
-    cells = 4 ** k
-    counts = [0] * cells
-    for _ in range(trials):
-        seed = rng.getrandbits(63)
-        stream = stream_source(seed)
-        idx = 0
-        for pos in positions:
-            idx = idx * 4 + (stream[pos] & 3)
-        counts[idx] += 1
-    stat = 0.0
-    for idx, c in enumerate(counts):
-        p = 1.0
-        for j in range(k):
-            digit = (idx // 4 ** (k - 1 - j)) % 4
-            p *= cell_p[digit]
-        expected = trials * p
-        if expected > 0:
-            stat += (c - expected) ** 2 / expected
-    from scipy.stats import chi2  # imported here: it costs most of kgen's start-up
+    _refuse_vacuous("rank", k, n, max_position_subsets)
+    order = field.order
+    subsets = min(comb(n, k), max_position_subsets)
+    cost = seed_len * k * (k + subsets)
+    if cost > RANK_GUARD:
+        raise GuardExceeded(f"rank check needs about {cost} = {seed_len}*{k}*"
+                            f"({k}+{subsets}) field operations, guard is {RANK_GUARD}")
+    # the first `subsets` lexicographic subsets reach position n-1 once they
+    # are past the n-k+1 that share the prefix 0..k-2
+    width = min(n, k - 1 + subsets)
+    rng = random.Random(0)
+    a, b = (tuple(field.random_element(rng) for _ in range(seed_len)) for _ in "ab")
+    lam = 1 + rng.randrange(order - 1)
+    seeds = [tuple(int(i == j) for i in range(seed_len)) for j in range(seed_len)]
+    seeds += [a, b, tuple(map(field.add, a, b)), tuple(field.mul(lam, x) for x in a)]
+    streams = [make_generator(seed).emit_batch(width) for seed in seeds]
 
-    threshold = float(chi2.ppf(1.0 - SCREEN_FAIL_QUANTILE, cells - 1))
-    verdict = "screen-pass" if stat <= threshold else "screen-fail"
-    return IndependenceReport(
-        verdict, k, len(positions), stat,
-        detail=f"threshold={threshold:.2f} trials={trials}",
-    )
+    bad = _out_of_range(streams, order, k, lambda s: sum(
+        v * order ** (seed_len - 1 - i) for i, v in enumerate(seeds[s])))
+    if bad is not None:
+        return bad
+    for i, (x, y, xy, lx) in enumerate(zip(*streams[seed_len:])):
+        if xy != field.add(x, y) or lx != field.mul(lam, x):
+            return IndependenceReport("exact-fail", k, 0, 0.0,
+                                      detail=f"not linear in the seed at position={i}")
+
+    rows = list(zip(*streams[:seed_len])) or [()] * width
+    tuple_count = order ** k
+    e = _ratio(order ** seed_len, tuple_count)
+    basis, prev = [], ()
+    for examined, subset in enumerate(islice(combinations(range(n), k), subsets), 1):
+        keep = next((j for j, (x, y) in enumerate(zip(subset, prev)) if x != y), len(prev))
+        del basis[keep:]
+        for i in subset[keep:]:
+            basis.append(_reduce(field, rows[i], basis))
+        prev = subset
+        r = k - basis.count(None)
+        if r < k:
+            return IndependenceReport(
+                "exact-fail", k, examined, max(e, _ratio(order ** (seed_len - r), 1) - e),
+                detail=f"subset={subset} tuples={order ** r}/{tuple_count}",
+            )
+    return IndependenceReport("exact-pass", k, examined, 0.0)
+
+
+def _reduce(field, row, basis):
+    """`row` reduced by the echelon rows in `basis` (None for a dependent
+    row): its pivot and itself scaled to 1 there, or None when it lies in
+    their span.  Each basis row is 0 at the pivots before its own."""
+    mul, sub = field.mul, field.sub
+    for pivot, pivot_row in filter(None, basis):
+        c = row[pivot]
+        if c:
+            row = [sub(x, mul(c, y)) for x, y in zip(row, pivot_row)]
+    for pivot, c in enumerate(row):
+        if c:
+            inv = field.inv(c)
+            return pivot, [mul(inv, x) for x in row]

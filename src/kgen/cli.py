@@ -1,8 +1,9 @@
-"""Command line surface: stream emission, parameter search, verification,
-benchmarking and load-balance experiments.
+"""Command line surface: stream emission, parameter search, exact
+independence verification by rank over the field, benchmarking and
+load-balance experiments.
 
 Exit codes: 0 success/pass, 1 fail verdict, 2 invalid configuration,
-3 brute-force guard exceeded.
+3 brute-force or rank guard exceeded.
 """
 
 from __future__ import annotations
@@ -115,26 +116,13 @@ def cmd_search(args) -> int:
         for row in rows:
             if row.feasible:
                 any_feasible = True
-                ns = row.predicted_ns
-                if args.bench and row is result.winner:
-                    ns = _bench_expander_row(args, k, row)
                 print(f"{k},{row.c},{row.m.bit_length() - 1},{row.d},"
-                      f"{row.log10_delta:.3f},{ns:.1f}")
+                      f"{row.log10_delta:.3f},{row.predicted_ns:.1f}")
             else:
                 print(f"{k},{row.c},,{row.d},,")
         if not result.winner:
             print(f"# k={k}: no feasible (c, m, d) within the grid", file=sys.stderr)
     return EXIT_OK if any_feasible else EXIT_FAIL
-
-
-def _bench_expander_row(args, k, row) -> float:
-    field = parse_field_spec(args.field)
-    m = min(row.m, 1 << 16)
-    proto = build(GeneratorSpec("expander", field, k, c=row.c, m=m, d=row.d,
-                                graph_seed=args.graph_seed))
-    seed = seed_from_int(field, proto.descriptor.seed_len, args.graph_seed)
-    values = min(row.c * m, 1 << 15)
-    return bench.measure_ns_per_value(lambda: proto.fork(seed), values, repetitions=3)
 
 
 # --------------------------------------------------------------------------
@@ -176,22 +164,10 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     proto = _build(args, args.seedlen)
-    field, seed_len = proto.field, proto.descriptor.seed_len
-    if args.screen:
-        def source(s):
-            return proto.fork(seed_from_int(field, seed_len, s)).emit_batch(args.window)
-
-        report = analysis.chi_square_screen(
-            source, field, min(args.k, 4), args.window, args.trials,
-            spawn_rng(args.graph_seed, "screen"),
-        )
-    else:
-        # one block of a sampled kind covers every row of its graph
-        n = args.n or min(proto.descriptor.period, getattr(proto, "_block_size", 64))
-        report = analysis.exhaustive_independence_check(
-            proto.fork, field, seed_len, args.k, n,
-            max_position_subsets=args.max_positions,
-        )
+    # one block of a sampled kind covers every row of its graph
+    n = args.n or min(proto.descriptor.period, getattr(proto, "_block_size", 64))
+    report = analysis.rank_independence_check(
+        proto.fork, proto.field, proto.descriptor.seed_len, args.k, n, args.max_positions)
     print(report.to_line())
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -275,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("search", help="feasibility/speed search over (c, m, d)")
-    p.add_argument("--field", default="gf2w:64")
     p.add_argument("--k", type=_parse_int_list, required=True,
                    help="comma-separated independence values")
     p.add_argument("--c", type=_parse_int_list, default=[16, 32, 64])
@@ -283,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log2-m-cap", type=int, default=26)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--full", action="store_true", help="emit every grid cell")
-    p.add_argument("--bench", action="store_true",
-                   help="measure winner rows instead of the model")
-    p.add_argument("--graph-seed", type=int, default=0)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bench", help="set-up seconds and ns/value for generator kinds")
@@ -300,17 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph-seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("verify", help="independence verification")
+    p = sub.add_parser("verify", help="exact independence verification by rank over F")
     common(p)
     p.add_argument("--seedlen", type=int, default=None,
                    help="generator independence (the seed length of horner and"
                         " fft-batch) when different from the checked --k")
     p.add_argument("--n", type=int, default=None, help="stream length to check")
     p.add_argument("--max-positions", type=int, default=analysis.POSITION_SUBSET_CAP)
-    p.add_argument("--screen", action="store_true",
-                   help="chi-square screen instead of exhaustive enumeration")
-    p.add_argument("--window", type=int, default=64)
-    p.add_argument("--trials", type=int, default=2000)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("loadbalance", help="interval-task assignment experiment")

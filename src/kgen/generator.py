@@ -53,7 +53,6 @@ from .expander import (
 )
 from .fft import AdditiveFftPlan, CosetDftPlan
 from .field import Gf2w, Gfp, field_spec_string, find_primitive_element
-from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,6 @@ class HornerGenerator:
             raise ConfigError(f"k={k} exceeds field size {field.order}")
         self.field = field
         self.seed = _check_seed(field, seed, k)
-        self.h = Polynomial(field, self.seed)
         self.descriptor = GeneratorDescriptor(
             "horner", field, k, field.order, 0.0, k
         )
@@ -114,11 +112,10 @@ class HornerGenerator:
     def emit_batch(self, count: int) -> list[int]:
         if count > self.remaining:
             raise PeriodExhausted(f"{count} values requested, {self.remaining} remain")
-        f = self.field
         xs = range(self._pos, self._pos + count)
         self._pos += count
-        mul, add = f.mul, f.add
-        top, rest = self.h.coeffs[-1], self.h.coeffs[-2::-1]
+        mul, add = self.field.mul, self.field.add
+        top, rest = self.seed[-1], self.seed[-2::-1]
         out = []
         for x in xs:
             acc = top

@@ -5,9 +5,10 @@ import pytest
 
 from kgen.analysis import (
     POSITION_SUBSET_CAP,
+    RANK_GUARD,
     IndependenceReport,
-    chi_square_screen,
     exhaustive_independence_check,
+    rank_independence_check,
 )
 from kgen.errors import ConfigError, GuardExceeded
 from kgen.expander import (
@@ -16,7 +17,12 @@ from kgen.expander import (
     sample_graph,
 )
 from kgen.field import Gf2w, Gfp
-from kgen.generator import HornerGenerator, build_expander_generator
+from kgen.generator import (
+    GeneratorSpec,
+    HornerGenerator,
+    build,
+    build_expander_generator,
+)
 
 
 TINY_FIELDS = [Gfp(2), Gfp(3), Gfp(5), Gfp(7), Gf2w(2), Gf2w(3)]
@@ -249,9 +255,9 @@ def test_check_reports_what_fails():
                                      (0, 5, POSITION_SUBSET_CAP)])
 def test_vacuous_check_refused(k, n, cap):
     f = Gfp(5)
-    with pytest.raises(ConfigError, match="would examine no"):
-        exhaustive_independence_check(horner_factory(f, 2), f, 2, k, n,
-                                      max_position_subsets=cap)
+    for check in (exhaustive_independence_check, rank_independence_check):
+        with pytest.raises(ConfigError, match="would examine no"):
+            check(horner_factory(f, 2), f, 2, k, n, max_position_subsets=cap)
 
 
 def test_report_line_format():
@@ -259,69 +265,124 @@ def test_report_line_format():
     line = r.to_line()
     assert line == "verdict=exact-pass k=3 positions=10 worst=0"
     assert r.passed
-    assert not IndependenceReport("screen-fail", 1, 1, 9.9).passed
+    assert not IndependenceReport("exact-fail", 1, 1, 9.9).passed
 
 
-# -- chi-square screen ---------------------------------------------------------------
+# -- rank check ----------------------------------------------------------------------
 
-def test_screen_true_entropy_passes():
-    f = Gf2w(16)
-
-    def source(seed):
-        r = random.Random(seed)
-        return [r.getrandbits(16) for _ in range(32)]
-
-    report = chi_square_screen(source, f, 2, 32, 3000, random.Random(0))
-    assert report.verdict == "screen-pass"
-
-
-def test_screen_all_zeros_fails():
-    f = Gf2w(16)
-    report = chi_square_screen(lambda s: [0] * 32, f, 2, 32, 1000,
-                               random.Random(0))
-    assert report.verdict == "screen-fail"
+def _tiny_prototype(field, kind):
+    """A small prototype of `kind` over `field`: independence 2 where the
+    kind and field allow it, else 1; graphs of degree 2 over horner."""
+    for k in (2, 1):
+        try:
+            return build(GeneratorSpec(kind, field, k, c=2, d=2, t=1,
+                                       m=field.order if kind == "expander" else None,
+                                       inner="horner"))
+        except ConfigError:
+            continue
+    raise AssertionError(f"no {kind} prototype over {field}")
 
 
-def test_screen_handles_non_pow4_field():
-    f = Gfp(13)  # 13 mod 4 = 1: lopsided low-bit cells, exact probabilities used
-
-    def source(seed):
-        r = random.Random(seed)
-        return [r.randrange(13) for _ in range(16)]
-
-    report = chi_square_screen(source, f, 2, 16, 4000, random.Random(1))
-    assert report.verdict == "screen-pass"
-
-
-def test_screen_k_guard():
-    f = Gf2w(16)
-    with pytest.raises(GuardExceeded):
-        chi_square_screen(lambda s: [0] * 8, f, 5, 8, 10, random.Random(0))
-
-
-def test_screen_on_generator_stream():
-    f = Gf2w(16)
-
-    def source(seed_int):
-        rng = random.Random(seed_int)
-        seed = [f.random_element(rng) for _ in range(8)]
-        return HornerGenerator(f, 8, seed).emit_batch(32)
-
-    report = chi_square_screen(source, f, 3, 32, 2000, random.Random(2))
-    assert report.verdict == "screen-pass"
+@pytest.mark.parametrize("kind", ["horner", "fft-batch", "expander", "cascade"])
+@pytest.mark.parametrize("field", TINY_FIELDS, ids=repr)
+def test_rank_check_equals_enumeration(field, kind):
+    proto = _tiny_prototype(field, kind)
+    s = proto.descriptor.seed_len
+    n = min(proto.descriptor.period, 6)
+    verdicts = set()
+    for k in sorted({1, 2, 3, s + 1} & set(range(1, n + 1))):
+        for cap in (2, POSITION_SUBSET_CAP):
+            args = (proto.fork, field, s, k, n)
+            report = rank_independence_check(*args, max_position_subsets=cap)
+            assert report == exhaustive_independence_check(
+                *args, max_position_subsets=cap), (k, cap)
+            verdicts.add(report.verdict)
+    # k=1 passes; k=s+1 exceeds the seed's s elements and fails
+    assert verdicts == ({"exact-pass", "exact-fail"} if s < n else {"exact-pass"})
 
 
-def test_screen_expander_generator_at_scale():
-    f = Gf2w(16)
-    proto = build_expander_generator(f, 32, c=16, m=2048, d=4,
-                                     inner_kind="fft-batch",
-                                     rng=random.Random(6))
+def test_rank_check_equals_enumeration_on_duplicated_row():
+    # a pair of equal outputs fails although k <= s
+    args, _ = expander_check_args(duplicate_row=True)
+    report = rank_independence_check(*args, max_position_subsets=28)
+    assert report == exhaustive_independence_check(*args, max_position_subsets=28)
+    assert report.verdict == "exact-fail"
 
-    def source(seed_int):
-        rng = random.Random(seed_int)
-        seed = tuple(f.random_element(rng)
-                     for _ in range(proto.descriptor.seed_len))
-        return proto.fork(seed).emit_batch(64)
 
-    report = chi_square_screen(source, f, 2, 64, 1200, random.Random(3))
-    assert report.verdict == "screen-pass"
+def test_rank_check_field_correct_where_parity_is_not():
+    # rows {0,1}, {1,2}, {0,2} are dependent over F_2 but independent over GF(5)
+    g = BipartiteGraph(1, 5, 2, ((0, 1), (1, 2), (0, 2), (3, 4), (0, 4)))
+    assert not all_small_row_subsets_independent(g, 3)
+    f = Gfp(5)
+    gen = build_expander_generator(f, 3, 1, 5, 2, inner_kind="horner",
+                                   rng=random.Random(0), graph=g)
+    args = (gen.fork, f, gen.descriptor.seed_len, 3, 3)
+    report = rank_independence_check(*args)
+    assert report == exhaustive_independence_check(*args)
+    assert report.verdict == "exact-pass"
+
+
+def test_rank_check_large_fields():
+    for field in (Gf2w(64), Gfp(2013265921)):
+        r = rank_independence_check(horner_factory(field, 8), field, 8, 8, 20)
+        assert r == IndependenceReport("exact-pass", 8, 200, 0.0)
+        # seed_len 7 < k: |F|^7 image tuples, each once, against e = 1/|F|
+        r = rank_independence_check(horner_factory(field, 7), field, 7, 8, 20)
+        assert r == IndependenceReport(
+            "exact-fail", 8, 1, 1 - field.order ** 7 / field.order ** 8,
+            detail=f"subset={tuple(range(8))} tuples={field.order ** 7}"
+                   f"/{field.order ** 8}")
+
+
+def test_rank_check_reports_inf_beyond_a_float():
+    # |F|^(s-k) = 2^(64*20) does not fit a float; a failing subset reports inf
+    f = Gf2w(64)
+
+    def make(seed):
+        values = HornerGenerator(f, 22, seed).emit_batch(3)
+        return Const([values[0], values[1], values[0]])
+
+    r = rank_independence_check(make, f, 22, 2, 3)
+    assert (r.verdict, r.positions_examined, r.worst_stat) == ("exact-fail", 2, float("inf"))
+    assert r.detail == f"subset=(0, 2) tuples={2**64}/{2**128}"
+
+
+def test_rank_check_catches_nonlinear_generator():
+    f = Gfp(5)
+
+    def squares(seed):
+        return Const([f.mul(v, v) for v in HornerGenerator(f, 2, seed).emit_batch(5)])
+
+    r = rank_independence_check(squares, f, 2, 2, 5)
+    assert r.verdict == "exact-fail" and r.positions_examined == 0
+    assert r.detail.startswith("not linear in the seed at position=")
+    assert exhaustive_independence_check(squares, f, 2, 2, 5).verdict == "exact-fail"
+
+
+@pytest.mark.parametrize("value", [5, -1, 2**64])
+def test_rank_check_out_of_range_value(value):
+    # seed (0, 1) is a unit seed and the first seed enumeration sees fail
+    f = Gfp(5)
+
+    def make(seed):
+        values = HornerGenerator(f, 2, seed).emit_batch(5)
+        if seed == (0, 1):
+            values[3] = value
+        return Const(values)
+
+    args = (make, f, 2, 2, 5)
+    r = rank_independence_check(*args)
+    assert r == IndependenceReport(
+        "exact-fail", 2, 0, 0.0,
+        detail=f"value={value} not in [0, 5) seed_index=1 position=3")
+    assert r == exhaustive_independence_check(*args)
+
+
+def test_rank_guard_refuses_before_materializing():
+    f = Gf2w(64)
+
+    def never(seed):
+        raise AssertionError("materialized above the guard")
+
+    with pytest.raises(GuardExceeded, match=f"guard is {RANK_GUARD}"):
+        rank_independence_check(never, f, 64, 64, 256, max_position_subsets=10_000)

@@ -237,14 +237,35 @@ def test_verify_pass_fail_guard_exit_codes(capsys):
         ["verify", "--field", "gfp:3", "--kind", "horner", "--k", "3",
          "--seedlen", "2"], capsys)
     assert code == 1 and "exact-fail" in out
-    code, _, err = run_cli(
-        ["verify", "--field", "gfp:101", "--kind", "horner", "--k", "4"], capsys)
-    assert code == 3 and "guard" in err
+    # 64*64*(64+10000) field operations lie above the rank guard
+    code, out, err = run_cli(
+        ["verify", "--field", "gf2w:64", "--kind", "horner", "--k", "64",
+         "--n", "256", "--max-positions", "10000"], capsys)
+    assert code == 3 and out == "" and "guard" in err
     # a stream shorter than the checked length: the period of gfp:17 is 17
-    for extra in (["--screen", "--trials", "10"], ["--n", "40"]):
-        code, out, err = run_cli(
-            ["verify", "--field", "gfp:17", "--kind", "horner", "--k", "2", *extra], capsys)
-        assert code == 2 and out == "" and err.startswith("error: ")
+    code, out, err = run_cli(
+        ["verify", "--field", "gfp:17", "--kind", "horner", "--k", "2", "--n", "40"], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field", ["gf2w:64", "gfp:2013265921"])
+def test_verify_rank_at_word_size_fields(field, capsys):
+    argv = ["verify", "--field", field, "--kind", "horner", "--k", "4", "--n", "12"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out.startswith("verdict=exact-pass k=4 positions=200 ")
+    code, out, _ = run_cli(argv + ["--seedlen", "6"], capsys)
+    assert code == 0 and "exact-pass" in out
+    code, out, _ = run_cli(argv + ["--seedlen", "3"], capsys)
+    order = parse_field_spec(field).order
+    assert code == 1 and out.startswith("verdict=exact-fail k=4 positions=1 ")
+    assert out.rstrip().endswith(f"tuples={order ** 3}/{order ** 4}")
+
+
+def test_verify_fft_batch_at_gfp_word_size(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--field", "gfp:2013265921", "--kind", "fft-batch", "--k", "8",
+         "--n", "16"], capsys)
+    assert code == 0 and "exact-pass k=8 positions=200" in out
 
 
 @pytest.mark.parametrize("extra", [["--n", "2"], ["--max-positions", "0"]])
@@ -272,23 +293,6 @@ def test_verify_cascade(capsys):
         capsys)
     assert code in (0, 1)
     assert "verdict=exact-" in out
-
-
-def test_verify_screen_expander(capsys):
-    code, out, _ = run_cli(
-        ["verify", "--field", "gf2w:16", "--kind", "expander", "--k", "2",
-         "--c", "2", "--m", "64", "--d", "2", "--screen", "--window", "16",
-         "--trials", "200"], capsys)
-    assert code in (0, 1)
-    assert "verdict=screen-" in out
-
-
-def test_verify_screen(capsys):
-    code, out, _ = run_cli(
-        ["verify", "--field", "gf2w:16", "--kind", "horner", "--k", "2",
-         "--screen", "--window", "16", "--trials", "500", "--seedlen", "4"],
-        capsys)
-    assert code == 0 and "screen-pass" in out
 
 
 def test_search_csv_schema(capsys):
@@ -394,9 +398,19 @@ def test_module_entry_point():
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy.stats is most of kgen's start-up; only the chi-square screen needs it
+    # scipy.stats alone would be most of kgen's start-up
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, kgen.cli; print('scipy' in sys.modules)"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_verify_runs_without_scipy():
+    code = ("import sys; sys.modules['scipy'] = None; from kgen.cli import main; "
+            "sys.exit(main(['verify', '--field', 'gf2w:64', '--kind', 'horner', "
+            "'--k', '4', '--n', '8']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("verdict=exact-pass k=4 positions=70 ")
