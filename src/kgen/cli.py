@@ -23,7 +23,6 @@ from .generator import (
     build,
     seed_from_hex,
     seed_from_int,
-    stream_chunks,
     write_stream,
 )
 
@@ -47,13 +46,10 @@ def _build(args, k: int | None = None):
 
 
 def _seed_elements(args, field, length: int):
-    """Element seed from --seed hex, or drawn for --entropy (the header of
-    an entropy run records it for replay)."""
+    """Element seed from --seed hex, or `length` elements drawn for
+    --entropy (the header of an entropy run records it for replay)."""
     if args.seed is not None:
-        seed = seed_from_hex(field, args.seed)
-        if len(seed) != length:
-            raise ConfigError(f"seed has {len(seed)} elements, need {length}")
-        return seed
+        return seed_from_hex(field, args.seed)
     if not args.entropy:
         raise ConfigError("provide --seed HEX or --entropy")
     return seed_from_int(field, length, fresh_seed())
@@ -71,26 +67,10 @@ def _open_out(args):
 
 def cmd_gen(args) -> int:
     proto = _build(args)
-    field = proto.field
-    gen = proto.fork(_seed_elements(args, field, proto.descriptor.seed_len))
+    gen = proto.fork(_seed_elements(args, proto.field, proto.descriptor.seed_len))
     fh, close = _open_out(args)
     try:
-        if args.format in ("hex", "csv"):
-            if args.header:
-                fh.write(gen.descriptor.header_line(gen.seed).encode())
-            width = 2 * field.elem_bytes
-            if args.format == "csv":
-                fh.write(b"index,value\n")
-            emitted = 0
-            for values in stream_chunks(gen, args.count):
-                if args.format == "csv":
-                    text = "".join(f"{i},{v}\n" for i, v in enumerate(values.tolist(), emitted))
-                else:
-                    text = "".join(f"{v:0{width}x}\n" for v in values.tolist())
-                fh.write(text.encode())
-                emitted += len(values)
-        else:
-            emitted = write_stream(gen, fh, args.count, header=args.header)
+        emitted = write_stream(gen, fh, args.count, header=args.header, fmt=args.format)
         if emitted < args.count:
             print(f"period exhausted after {emitted} values", file=sys.stderr)
             return EXIT_CONFIG
@@ -164,8 +144,8 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     proto = _build(args, args.seedlen)
-    # one block of a sampled kind covers every row of its graph
-    n = args.n or min(proto.descriptor.period, getattr(proto, "_block_size", 64))
+    # the positions that --max-positions lexicographic k-subsets reach
+    n = args.n or min(proto.descriptor.period, args.k - 1 + args.max_positions)
     report = analysis.rank_independence_check(
         proto.fork, proto.field, proto.descriptor.seed_len, args.k, n, args.max_positions)
     print(report.to_line())

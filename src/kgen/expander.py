@@ -334,18 +334,14 @@ def all_small_row_subsets_independent(
     g: BipartiteGraph,
     k: int,
     max_enum: int = SUBSET_ENUM_BUDGET,
-    samples: int = 20_000,
-    rng: random.Random | None = None,
 ) -> bool:
     """True iff no nonempty subset of <= k rows of the F_2 adjacency matrix
     sums to zero; exactly the condition under which M*x carries k-wise
     independence through.
 
     Subset sizes 1 and 2 (zero rows, duplicate rows) are always resolved
-    exactly in linear time.  Larger sizes use the exact subset sweep when the
-    enumeration fits the budget; otherwise, for k <= 20, sampled k-row
-    submatrices are rank-checked (a one-sided Monte Carlo filter: False is
-    definitive, True is not a certificate).
+    exactly in linear time.  Larger sizes use the exact subset sweep, which
+    raises GuardExceeded when it would enumerate more than max_enum subsets.
     """
     rows = g.row_bitsets()
     n = len(rows)
@@ -360,27 +356,17 @@ def all_small_row_subsets_independent(
     for size in range(3, kk + 1):
         total += math.comb(n, size)
         if total > max_enum:
-            break
-    if total <= max_enum:
-        for size in range(3, kk + 1):
-            for subset in combinations(range(n), size):
-                acc = 0
-                for i in subset:
-                    acc ^= rows[i]
-                if acc == 0:
-                    return False
-        return True
-    if k <= 20:
-        rng = rng or random.Random(0)
-        for _ in range(samples):
-            picked = rng.sample(range(n), kk)
-            if gf2_rank([rows[i] for i in picked]) < kk:
+            raise GuardExceeded(
+                f"subset sweep needs <= {max_enum} subsets; got cm={n}, k={k}"
+            )
+    for size in range(3, kk + 1):
+        for subset in combinations(range(n), size):
+            acc = 0
+            for i in subset:
+                acc ^= rows[i]
+            if acc == 0:
                 return False
-        return True
-    raise GuardExceeded(
-        f"subset sweep needs <= {max_enum} subsets or k <= 20; "
-        f"got cm={n}, k={k}"
-    )
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -557,13 +543,12 @@ def search_parameters(
     d_candidates: Sequence[int],
     m_cap: int,
     delta_target: float,
-    time_model: TimeModel | None = None,
 ) -> SearchResult:
     """For each (c, d): the least power-of-two m <= m_cap whose rank failure
     bound meets the target; feasible triples ranked by predicted time."""
     if not c_candidates or not d_candidates:
         raise ValueError("candidate sets must be non-empty")
-    model = time_model or TimeModel()
+    model = TimeModel()
     log10_target = math.log10(delta_target)
 
     def solve(c, d):

@@ -8,6 +8,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -123,25 +124,18 @@ def _pollard_rho(n: int) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _gcd(abs(x - y), n)
+            d = math.gcd(x - y, n)
         if d != n:
             return d
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # --------------------------------------------------------------------------
 # GF(2^w)
 # --------------------------------------------------------------------------
 
-# Lowest-weight irreducible g = x^w + ... + 1, as ascending exponent tuples.
-# Entries with w <= 16 are re-verified by brute force at construction time;
-# the larger ones are trusted as table entries (tests check them with Rabin's
-# irreducibility test).
+# Lowest-weight irreducible g = x^w + ... + 1, as ascending exponent tuples:
+# the only reduction polynomials Gf2w uses.  Nothing checks them at
+# construction; the tests check every entry with Rabin's irreducibility test.
 REDUCTION_POLYS: dict[int, tuple[int, ...]] = {
     1: (0, 1),
     2: (0, 1, 2),
@@ -168,25 +162,9 @@ REDUCTION_POLYS: dict[int, tuple[int, ...]] = {
 _LOG_TABLE_MAX_W = 16
 
 
-def _f2_poly_mod(a: int, g: int) -> int:
-    gb = g.bit_length()
-    while a.bit_length() >= gb:
-        a ^= g << (a.bit_length() - gb)
-    return a
-
-
-def _f2_irreducible(g: int, w: int) -> bool:
-    """Brute-force trial division by every polynomial of degree 1..w//2."""
-    if g & 1 == 0:
-        return False
-    for d in range(2, 1 << (w // 2 + 1)):
-        if _f2_poly_mod(g, d) == 0:
-            return False
-    return True
-
-
 class Gf2w:
-    """Context for GF(2^w) with a sparse (weight <= 5) reduction polynomial.
+    """Context for GF(2^w) with the sparse (weight <= 5) reduction polynomial
+    REDUCTION_POLYS[w], for the widths that table lists.
 
     Multiplication is carryless product followed by a sparse-polynomial
     Barrett-style reduction; for w <= 16 a discrete-log table is additionally
@@ -198,37 +176,19 @@ class Gf2w:
 
     char = 2
 
-    def __init__(self, w: int, poly_exps: tuple[int, ...] | None = None):
-        if not 1 <= w <= 64:
-            raise FieldError(f"w must be in 1..64, got {w}")
-        if poly_exps is None:
-            if w not in REDUCTION_POLYS:
-                raise FieldError(f"no built-in reduction polynomial for w={w}")
-            poly_exps = REDUCTION_POLYS[w]
-        poly_exps = tuple(sorted(poly_exps))
-        if len(poly_exps) > 5:
-            raise FieldError("reduction polynomial must have weight <= 5")
-        if poly_exps[0] != 0 or poly_exps[-1] != w:
-            raise FieldError("reduction polynomial needs constant term and degree w")
-        g = 0
-        for e in poly_exps:
-            g |= 1 << e
-        if w <= _LOG_TABLE_MAX_W:
-            if not _f2_irreducible(g, w):
-                raise FieldError(f"0x{g:x} is reducible over F_2")
-        elif REDUCTION_POLYS.get(w) != poly_exps:
+    def __init__(self, w: int):
+        if w not in REDUCTION_POLYS:
             raise FieldError(
-                f"cannot verify irreducibility for w={w}; use the built-in polynomial"
+                f"no reduction polynomial for w={w}; widths are {sorted(REDUCTION_POLYS)}"
             )
+        poly_exps = REDUCTION_POLYS[w]
         self.w = w
         self.poly_exps = poly_exps
-        self.g = g
+        self.g = sum(1 << e for e in poly_exps)
         self.mask = (1 << w) - 1
         self.order = 1 << w
         self.mult_order = self.order - 1
         self.elem_bytes = (w + 7) // 8
-        self.zero = 0
-        self.one = 1
         # tail of g (everything below x^w), used by the reduction fold
         self._tail_exps = poly_exps[:-1]
         self._exp_table: list[int] | None = None
@@ -474,10 +434,7 @@ class Gfp:
         self.p = p
         self.char = p
         self.order = p
-        self.mult_order = p - 1
         self.elem_bytes = 8
-        self.zero = 0
-        self.one = 1 % p
 
     def __repr__(self):
         return f"Gfp(p={self.p})"
@@ -504,18 +461,12 @@ class Gfp:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise FieldError("negative exponent")
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        return pow(a, e, self.p)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.p - 2)
+        return pow(a, -1, self.p)
 
     # -- element plumbing ------------------------------------------------------
 

@@ -352,26 +352,17 @@ def _poly_period(field, kind: str) -> int:
 
 def _make_inner(field, kind: str, k_needed: int, rng: random.Random, seed=None):
     """Inner generator of the requested kind supplying >= k_needed
-    independence (rounded up to what the kind supports)."""
+    independence (rounded up to what the kind supports).  A seed left to the
+    rng is drawn lazily, after the generator's own checks."""
     if kind == "horner":
-        k_inner = k_needed
+        make, k_inner = HornerGenerator, k_needed
     elif kind == "fft-batch":
-        k_inner = _next_pow2(k_needed)
-        if isinstance(field, Gfp) and (field.p - 1) % k_inner != 0:
-            raise ConfigError(
-                f"fft-batch inner needs 2^ceil(log2({k_needed}))={k_inner} dividing p-1"
-            )
+        make, k_inner = FftBatchGenerator, _next_pow2(k_needed)
     else:
         raise ConfigError(f"unsupported inner kind {kind!r}")
-    if k_inner > field.order:
-        raise ConfigError(
-            f"inner independence {k_inner} exceeds field size {field.order}"
-        )
     if seed is None:
-        seed = tuple(field.random_element(rng) for _ in range(k_inner))
-    if kind == "horner":
-        return HornerGenerator(field, k_inner, seed)
-    return FftBatchGenerator(field, k_inner, seed)
+        seed = (field.random_element(rng) for _ in range(k_inner))
+    return make(field, k_inner, seed)
 
 
 def build_expander_generator(
@@ -407,7 +398,6 @@ def build_cascade_generator(
     base_kind: str = "horner",
     rng: random.Random | None = None,
     m0: int | None = None,
-    seed=None,
     graphs: list[BipartiteGraph] | None = None,
 ):
     """Cascade of t sampled levels over a base generator.
@@ -423,7 +413,7 @@ def build_cascade_generator(
     if graphs is None:
         check_graph_size(sum(c ** i * m0 * d for i in range(1, t + 1)), "cascade")
     need = required_independence(d ** t * k, base_period)
-    base = _make_inner(field, base_kind, need, rng, seed)
+    base = _make_inner(field, base_kind, need, rng)
     if t == 0:
         return base
     if graphs is None:
@@ -546,16 +536,30 @@ def stream_chunks(gen, count: int):
         count -= n
 
 
-def write_stream(gen, fh, count: int, header: bool = False):
-    """Raw little-endian fixed-width words, optionally preceded by a text
-    descriptor line.  Returns the number of values written (short only if
-    the period runs out mid-stream).  One write per `stream_chunks` chunk.
+def write_stream(gen, fh, count: int, header: bool = False, fmt: str = "bin"):
+    """The next `count` values of `gen`, optionally preceded by its text
+    descriptor line, in one of three formats: "bin", raw little-endian
+    fixed-width words; "hex", one width-padded hex word a line; "csv",
+    `index,value` lines under their column names.  Returns the number of
+    values written (short only if the period runs out mid-stream).  One
+    write per `stream_chunks` chunk.
     """
-    field = gen.field
+    if fmt not in ("bin", "hex", "csv"):
+        raise ConfigError(f"unknown stream format {fmt!r}; use bin, hex or csv")
+    elem_bytes = gen.field.elem_bytes
+    width = 2 * elem_bytes
     if header:
         fh.write(gen.descriptor.header_line(gen.seed).encode())
+    if fmt == "csv":
+        fh.write(b"index,value\n")
     written = 0
     for values in stream_chunks(gen, count):
-        fh.write(_words_to_bytes(values, field.elem_bytes))
+        if fmt == "bin":
+            data = _words_to_bytes(values, elem_bytes)
+        elif fmt == "hex":
+            data = "".join(f"{v:0{width}x}\n" for v in values.tolist()).encode()
+        else:
+            data = "".join(f"{i},{v}\n" for i, v in enumerate(values.tolist(), written)).encode()
+        fh.write(data)
         written += len(values)
     return written

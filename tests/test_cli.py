@@ -248,6 +248,14 @@ def test_verify_pass_fail_guard_exit_codes(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_verify_default_n_reaches_max_positions(capsys):
+    # with no --n, the stream is long enough for --max-positions k-subsets
+    # (k - 1 + 200 positions), not one
+    code, out, _ = run_cli(
+        ["verify", "--field", "gfp:2013265921", "--kind", "horner", "--k", "64"], capsys)
+    assert code == 0 and out.startswith("verdict=exact-pass k=64 positions=200 ")
+
+
 @pytest.mark.parametrize("field", ["gf2w:64", "gfp:2013265921"])
 def test_verify_rank_at_word_size_fields(field, capsys):
     argv = ["verify", "--field", field, "--kind", "horner", "--k", "4", "--n", "12"]
@@ -386,6 +394,20 @@ def test_bench_csv_schema(capsys):
     lines = out.splitlines()
     assert lines[0] == "k,kind,setup_s,ns_per_value,inner_ns,lookup_ns"
     assert len(lines) == 5
+
+
+def test_cli_option_count_pinned():
+    # every option of every subcommand, --help aside; a new option changes
+    # this count on purpose
+    import argparse
+
+    from kgen.cli import build_parser
+
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = [a for p in subs.choices.values() for a in p._actions
+               if not isinstance(a, argparse._HelpAction)]
+    assert len(options) == 56
 
 
 def test_module_entry_point():

@@ -321,16 +321,16 @@ def test_row_subsets_matches_gaussian_oracle():
 
 
 def test_row_subsets_sampled_path():
-    # exact enumeration infeasible at this size; the k<=20 sampled path runs
+    # exact enumeration beyond the budget is refused, at any k >= 3
     rng = random.Random(9)
     g = sample_graph(4, 256, 4, rng)
-    assert all_small_row_subsets_independent(g, 8, max_enum=10_000,
-                                             samples=300, rng=rng) in (True, False)
+    with pytest.raises(GuardExceeded):
+        all_small_row_subsets_independent(g, 8, max_enum=10_000)
     rows = list(g.adjacency)
     rows[10] = rows[3]
     bad = BipartiteGraph(4, 256, 4, tuple(rows))
-    # duplicated row: 0 in XOR of the pair; sampled path must catch zero rows,
-    # the exact pair path catches duplicates
+    # duplicated row: 0 in XOR of the pair; the exact pair path catches it at
+    # any size
     assert not all_small_row_subsets_independent(bad, 2)
 
 

@@ -59,16 +59,19 @@ def test_clmul_paths_identical(a, b):
 def test_builtin_polys_small_w_verified():
     for w in REDUCTION_POLYS:
         if w <= 16:
-            Gf2w(w)  # construction runs the brute-force irreducibility oracle
+            Gf2w(w)  # builds the log tables (for w >= 2) from a generator of F^*
 
 
 def _rabin_irreducible(g, w):
-    """x^(2^w) = x mod g, and gcd(x^(2^(w/q)) - x, g) = 1 for each prime q | w."""
+    """Rabin's test: g of degree w is irreducible over F_2 iff x^(2^w) = x
+    mod g and gcd(x^(2^(w/q)) - x, g) = 1 for each prime q | w."""
+    x = longdiv_mod(2, g)
+
     def frob(e):
-        x = 2
+        y = x
         for _ in range(e):
-            x = longdiv_mod(schoolbook_clmul(x, x), g)
-        return x
+            y = longdiv_mod(schoolbook_clmul(y, y), g)
+        return y
 
     def gcd(a, b):
         while b:
@@ -76,32 +79,31 @@ def _rabin_irreducible(g, w):
         return a
 
     primes = [q for q in range(2, w + 1) if w % q == 0 and all(q % r for r in range(2, q))]
-    return frob(w) == 2 and all(gcd(g, frob(w // q) ^ 2) == 1 for q in primes)
+    return frob(w) == x and all(gcd(g, frob(w // q) ^ x) == 1 for q in primes)
 
 
 def test_builtin_polys_above_16_irreducible():
-    for w in REDUCTION_POLYS:
-        if w > 16:
-            assert _rabin_irreducible(Gf2w(w).g, w), w
+    # every entry, w <= 16 included: the table is the only source of
+    # reduction polynomials, and Gf2w checks none of them
+    for w, exps in REDUCTION_POLYS.items():
+        assert exps == tuple(sorted(set(exps))), w
+        assert exps[0] == 0 and exps[-1] == w and len(exps) <= 5, w
+        g = Gf2w(w).g
+        assert g == sum(1 << e for e in exps), w
+        assert _rabin_irreducible(g, w), w
 
 
-def test_reducible_poly_rejected():
-    with pytest.raises(FieldError):
-        Gf2w(4, (0, 2, 4))  # x^4+x^2+1 = (x^2+x+1)^2
+def test_rabin_oracle_rejects_reducible():
+    assert not _rabin_irreducible(0b10101, 4)  # x^4+x^2+1 = (x^2+x+1)^2
+    assert not _rabin_irreducible(0b100111, 5)  # x^5+x^2+x+1 has the root 1
+    assert _rabin_irreducible(0b100101, 5)  # x^5+x^2+1
 
 
 def test_poly_shape_rejected():
-    with pytest.raises(FieldError):
-        Gf2w(4, (0, 1, 2, 3, 4, 5))
-    with pytest.raises(FieldError):
-        Gf2w(4, (1, 4))  # no constant term
-    with pytest.raises(FieldError):
-        Gf2w(70)
-
-
-def test_custom_poly_above_16_requires_table():
-    with pytest.raises(FieldError):
-        Gf2w(64, (0, 1, 2, 5, 64))
+    # only the widths REDUCTION_POLYS lists have a field
+    for w in (0, 17, 70):
+        with pytest.raises(FieldError):
+            Gf2w(w)
 
 
 # -- GF(2^w) arithmetic -------------------------------------------------------

@@ -519,6 +519,22 @@ def test_write_stream_binary_and_header():
     vals = [int.from_bytes(body[i:i + 2], "little") for i in range(0, 8, 2)]
     want = HornerGenerator(f, 2, [1, 2]).emit_batch(4)
     assert vals == want
+    # the text formats: the same header, then a width-padded hex word or an
+    # index,value line per value
+    line = header.decode() + "\n"
+    for fmt, text in (("hex", "0001\n0003\n0005\n0007\n"),
+                      ("csv", "index,value\n0,1\n1,3\n2,5\n3,7\n")):
+        buf = io.BytesIO()
+        assert write_stream(HornerGenerator(f, 2, [1, 2]), buf, 4, header=True, fmt=fmt) == 4
+        assert buf.getvalue().decode() == line + text
+    # a count past the period (5 over GF(5)) stops at it
+    for fmt, text in (("hex", "".join(f"{v:016x}\n" for v in (1, 3, 0, 2, 4))),
+                      ("csv", "index,value\n0,1\n1,3\n2,0\n3,2\n4,4\n")):
+        buf = io.BytesIO()
+        assert write_stream(HornerGenerator(Gfp(5), 2, [1, 2]), buf, 9, fmt=fmt) == 5
+        assert buf.getvalue().decode() == text
+    with pytest.raises(ConfigError, match="unknown stream format"):
+        write_stream(HornerGenerator(f, 2, [1, 2]), io.BytesIO(), 4, fmt="json")
 
 
 def test_write_stream_short_on_exhaustion():
