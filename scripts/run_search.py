@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Parameter search across the (c, d) grid for a range of independence
 values: for each k, the smallest power-of-two right side m whose failure
-bound meets the target, ranked by the time model.
+bound meets the target, within the graph size guard, ranked by the time
+model.
 
 Usage: python scripts/run_search.py [delta_target]
 """
@@ -18,5 +19,4 @@ sys.exit(main([
     "--c", "16,32,64",
     "--d", "4,8,16",
     "--delta", delta,
-    "--log2-m-cap", "26",
 ]))

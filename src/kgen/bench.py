@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from .errors import ConfigError
 from .generator import stream_chunks
 
 
@@ -24,6 +25,8 @@ def measure_ns_per_value(make_gen: Callable[[], object], values: int,
     `values` should cover whole refill cycles of batch kinds so the
     amortized cost is what gets measured.
     """
+    if values < 1 or repetitions < 1:
+        raise ConfigError(f"values={values} and repetitions={repetitions} must be >= 1")
     samples = []
     for rep in range(1 + repetitions):
         gen = make_gen()

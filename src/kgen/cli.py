@@ -17,7 +17,7 @@ from . import analysis, bench, loadbalance
 from .entropy import fresh_seed, spawn_rng
 from .errors import ConfigError, GuardExceeded, PeriodExhausted
 from .expander import search_parameters
-from .field import FieldError, parse_field_spec
+from .field import parse_field_spec
 from .generator import (
     GeneratorSpec,
     build,
@@ -89,7 +89,7 @@ def cmd_search(args) -> int:
     print("k,c,log2_m,d,log10_delta,predicted_ns")
     any_feasible = False
     for k in args.k:
-        result = search_parameters(k, args.c, args.d, 1 << args.log2_m_cap, args.delta)
+        result = search_parameters(k, args.c, args.d, args.delta)
         rows = result.rows if args.full else (
             (result.winner,) if result.winner else ()
         )
@@ -158,14 +158,17 @@ def cmd_verify(args) -> int:
 
 def _parse_workload(spec: str, rng: random.Random):
     name, _, arg = spec.partition(":")
-    if name == "burst":
-        return loadbalance.burst_workload(int(arg))
-    if name == "poisson":
-        parts = dict(kv.split("=") for kv in arg.split(";"))
-        return loadbalance.poisson_workload(
-            int(parts.get("t", "100")), float(parts.get("rate", "1.0")),
-            float(parts.get("duration", "1.0")), rng,
-        )
+    try:
+        if name == "burst":
+            return loadbalance.burst_workload(int(arg))
+        if name == "poisson":
+            parts = dict(kv.split("=") for kv in arg.split(";"))
+            return loadbalance.poisson_workload(
+                int(parts.get("t", "100")), float(parts.get("rate", "1.0")),
+                float(parts.get("duration", "1.0")), rng,
+            )
+    except ValueError as exc:
+        raise ConfigError(f"malformed workload {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown workload {spec!r}; use burst:T or poisson:t=..;rate=..;duration=..")
 
 
@@ -235,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated independence values")
     p.add_argument("--c", type=_parse_int_list, default=[16, 32, 64])
     p.add_argument("--d", type=_parse_int_list, default=[4, 8, 16])
-    p.add_argument("--log2-m-cap", type=int, default=26)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--full", action="store_true", help="emit every grid cell")
     p.set_defaults(func=cmd_search)
@@ -279,7 +281,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FieldError, PeriodExhausted) as exc:
+    except (ConfigError, PeriodExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardExceeded as exc:

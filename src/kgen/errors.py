@@ -12,3 +12,7 @@ class PeriodExhausted(Exception):
 
 class ConfigError(ValueError):
     """Invalid configuration for a generator or command."""
+
+
+class FieldError(ConfigError):
+    """Invalid field construction or non-canonical operand."""

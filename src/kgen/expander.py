@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import GuardExceeded
+from .errors import ConfigError, GuardExceeded
 
 _LN10 = math.log(10.0)
 _LOG10_E = math.log10(math.e)
@@ -80,24 +80,24 @@ class BipartiteGraph:
 
     def __init__(self, c: int, m: int, d: int, edges):
         if c < 1 or m < 1 or d < 1:
-            raise ValueError("c, m, d must all be >= 1")
+            raise ConfigError("c, m, d must all be >= 1")
         if m >= _PAD:
-            raise ValueError(f"right size m={m} does not fit the uint32 layout")
+            raise ConfigError(f"right size m={m} does not fit the uint32 layout")
         if not isinstance(edges, np.ndarray):
             edges = _pack_rows(edges, m, d)
         elif edges.dtype != np.uint32:
-            raise ValueError(f"edges must be a uint32 array, got {edges.dtype}")
+            raise ConfigError(f"edges must be a uint32 array, got {edges.dtype}")
         if edges.shape != (c * m, d):
-            raise ValueError("adjacency must list every left vertex")
+            raise ConfigError("adjacency must list every left vertex")
         if edges.max() > m:
-            raise ValueError("right index out of range")
+            raise ConfigError("right index out of range")
         if (edges[:, 0] == m).any():
-            raise ValueError("adjacency rows must have 1..d entries")
+            raise ConfigError("adjacency rows must have 1..d entries")
         # entries never exceed the pad m, so an entry may equal or exceed its
         # right neighbor only when that neighbor is a pad
         a, b = edges[:, :-1], edges[:, 1:]
         if not ((a < b) | (b == m)).all():
-            raise ValueError("adjacency rows must be sorted and duplicate-free")
+            raise ConfigError("adjacency rows must be sorted and duplicate-free")
         edges = edges.view()
         edges.flags.writeable = False
         self.c, self.m, self.d, self.edges = c, m, d, edges
@@ -186,9 +186,9 @@ def _pack_rows(rows, m: int, d: int) -> np.ndarray:
     edges = np.full((len(rows), d), m, dtype=np.uint32)
     for x, row in enumerate(rows):
         if not 1 <= len(row) <= d:
-            raise ValueError("adjacency rows must have 1..d entries")
+            raise ConfigError("adjacency rows must have 1..d entries")
         if min(row) < 0 or max(row) >= m:
-            raise ValueError("right index out of range")
+            raise ConfigError("right index out of range")
         edges[x, :len(row)] = row
     return edges
 
@@ -268,7 +268,7 @@ def sample_graph(c: int, m: int, d: int, rng: random.Random) -> BipartiteGraph:
     space stays in the process.
     """
     if c < 1 or m < 1 or d < 1:
-        raise ValueError("c, m, d must all be >= 1")
+        raise ConfigError("c, m, d must all be >= 1")
     n = c * m * d
     check_graph_size(n)
     edges = np.frombuffer(mmap.mmap(-1, 4 * n), dtype=np.uint32)
@@ -288,7 +288,7 @@ def stack(g: BipartiteGraph, b: int) -> BipartiteGraph:
     directions, since any offending subset restricts to a single block.
     """
     if b < 1:
-        raise ValueError("b must be >= 1")
+        raise ConfigError("b must be >= 1")
     if b == 1:
         return g
     check_graph_size(b * g.c * g.m * g.d, "stacked graph")
@@ -317,17 +317,6 @@ def is_k_unique_bruteforce(g: BipartiteGraph, k: int) -> bool:
             if 1 not in counts.values():
                 return False
     return True
-
-
-def gf2_rank(rows: Sequence[int]) -> int:
-    """Rank over F_2 of rows given as int bitsets."""
-    basis: list[int] = []
-    for v in rows:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return len(basis)
 
 
 def all_small_row_subsets_independent(
@@ -541,19 +530,21 @@ def search_parameters(
     k: int,
     c_candidates: Sequence[int],
     d_candidates: Sequence[int],
-    m_cap: int,
     delta_target: float,
 ) -> SearchResult:
-    """For each (c, d): the least power-of-two m <= m_cap whose rank failure
-    bound meets the target; feasible triples ranked by predicted time."""
-    if not c_candidates or not d_candidates:
-        raise ValueError("candidate sets must be non-empty")
+    """For each (c, d): the least power-of-two m whose rank failure bound
+    meets the target, among those whose graph `sample_graph` accepts
+    (c*m*d <= MAX_GRAPH_ENTRIES); feasible triples ranked by predicted time."""
+    if k < 1 or min(c_candidates, default=0) < 1 or min(d_candidates, default=0) < 1:
+        raise ConfigError("k and the c and d candidates (at least one each) must be >= 1")
+    if not delta_target > 0:
+        raise ConfigError(f"delta target must be positive, got {delta_target}")
     model = TimeModel()
     log10_target = math.log10(delta_target)
 
     def solve(c, d):
         m = 2
-        while m <= m_cap:
+        while c * m * d <= MAX_GRAPH_ENTRIES:
             bound = rank_failure_bound(c, m, d, k).log10_delta
             # the bound is a probability: anything above 1 is trivially 1
             if min(bound, 0.0) <= log10_target:

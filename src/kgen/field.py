@@ -13,9 +13,7 @@ import random
 
 import numpy as np
 
-
-class FieldError(ValueError):
-    """Invalid field construction or non-canonical operand."""
+from .errors import FieldError
 
 
 # --------------------------------------------------------------------------

@@ -257,15 +257,6 @@ class FftBatchGenerator(_BlockStream):
         return (j ^ (j >> 1)) << self._plan.s
 
 
-def required_independence(needed: int, inner_period: int) -> int:
-    """Independence the inner stream must supply.
-
-    Any subset of positions of a stream is capped by the stream length, so a
-    fully independent period-P stream satisfies every requirement above P.
-    """
-    return min(needed, inner_period)
-
-
 class CascadeGenerator(_BlockStream):
     """Chained expander levels g_i(x) = sum of g_{i-1} over the neighbors of
     x in level graph i, where g_0 is the inner stream.
@@ -279,6 +270,8 @@ class CascadeGenerator(_BlockStream):
     kind = "cascade"
 
     def __init__(self, field, k: int, graphs: list[BipartiteGraph], inner, delta: float):
+        if k < 1:
+            raise ConfigError("k must be >= 1")
         if not graphs:
             raise ConfigError("cascade needs at least one level; use the inner generator directly")
         m0 = graphs[0].m
@@ -294,7 +287,9 @@ class CascadeGenerator(_BlockStream):
             raise ConfigError(
                 f"right size m={m0} must divide the inner period {inner_period}"
             )
-        need = required_independence(graphs[0].d ** len(graphs) * k, inner_period)
+        # no position subset outgrows the stream, so a period-P inner stream
+        # needs at most P-independence
+        need = min(graphs[0].d ** len(graphs) * k, inner_period)
         if inner.descriptor.k < need:
             raise ConfigError(
                 f"inner generator supplies {inner.descriptor.k}-independence, "
@@ -384,8 +379,8 @@ def build_expander_generator(
     elif (graph.c, graph.m, graph.d) != (c, m, d):
         raise ConfigError("supplied graph does not match (c, m, d)")
     bound = rank_failure_bound(c, m, d, k)
-    need = required_independence(d * k, _poly_period(field, inner_kind))
-    inner = _make_inner(field, inner_kind, need, rng, seed)
+    inner = _make_inner(field, inner_kind, min(d * k, _poly_period(field, inner_kind)),
+                        rng, seed)
     return ExpanderGenerator(field, k, graph, inner, bound.delta)
 
 
@@ -398,28 +393,22 @@ def build_cascade_generator(
     base_kind: str = "horner",
     rng: random.Random | None = None,
     m0: int | None = None,
-    graphs: list[BipartiteGraph] | None = None,
-):
-    """Cascade of t sampled levels over a base generator.
+) -> CascadeGenerator:
+    """Cascade of t >= 1 sampled levels over a base generator.
 
     Level i is a (c, c^(i-1)*m0, d) graph with independence target
     d^(t-i)*k; the declared failure probability is the union-bound sum of
-    the level bounds.  t=0 degenerates to the base generator itself.
+    the level bounds.
     """
+    if t < 1:
+        raise ConfigError(f"cascade needs t >= 1 levels, got {t}")
     rng = rng or random.Random(0)
     base_period = _poly_period(field, base_kind)
     if m0 is None:
         m0 = base_period
-    if graphs is None:
-        check_graph_size(sum(c ** i * m0 * d for i in range(1, t + 1)), "cascade")
-    need = required_independence(d ** t * k, base_period)
-    base = _make_inner(field, base_kind, need, rng)
-    if t == 0:
-        return base
-    if graphs is None:
-        graphs = [
-            sample_graph(c, c ** (i - 1) * m0, d, rng) for i in range(1, t + 1)
-        ]
+    check_graph_size(sum(c ** i * m0 * d for i in range(1, t + 1)), "cascade")
+    base = _make_inner(field, base_kind, min(d ** t * k, base_period), rng)
+    graphs = [sample_graph(c, c ** (i - 1) * m0, d, rng) for i in range(1, t + 1)]
     log_terms = np.array([
         rank_failure_bound(g.c, g.m, g.d, min(d ** (t - i) * k, g.n_left)).log10_delta
         for i, g in enumerate(graphs, start=1)
@@ -497,9 +486,9 @@ def seed_from_int(field, seed_len: int, s: int) -> tuple[int, ...]:
 def seed_from_hex(field, text: str) -> tuple[int, ...]:
     clean = text.replace(":", "").replace(",", "").replace(" ", "")
     width = 2 * field.elem_bytes
-    if not clean or len(clean) % width:
+    if not clean or len(clean) % width or not set(clean.lower()) <= set("0123456789abcdef"):
         raise ConfigError(
-            f"hex seed length must be a multiple of {width} chars for this field"
+            f"hex seed must be a nonzero multiple of {width} hex digits for this field"
         )
     out = []
     for i in range(0, len(clean), width):

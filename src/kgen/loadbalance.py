@@ -185,6 +185,8 @@ def burst_workload(t: int, start: float = 0.0, duration: float = 1.0) -> list[Ta
 def poisson_workload(t: int, rate: float, duration: float,
                      rng: random.Random) -> list[Task]:
     """t tasks with exponential inter-arrival gaps and fixed duration."""
+    if not rate > 0:
+        raise ConfigError(f"poisson workload needs rate > 0, got {rate}")
     tasks = []
     x = 0.0
     for _ in range(t):

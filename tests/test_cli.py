@@ -316,7 +316,7 @@ def test_search_csv_schema(capsys):
 def test_search_full_grid_and_trivial_delta(capsys):
     code, out, _ = run_cli(
         ["search", "--k", "8", "--c", "2,4", "--d", "2,4", "--delta", "1.0",
-         "--full", "--log2-m-cap", "10"], capsys)
+         "--full"], capsys)
     assert code == 0
     lines = out.splitlines()[1:]
     assert len(lines) == 4
@@ -325,10 +325,17 @@ def test_search_full_grid_and_trivial_delta(capsys):
 
 def test_search_infeasible_exit(capsys):
     code, out, err = run_cli(
-        ["search", "--k", "1024", "--c", "2", "--d", "2", "--delta", "1e-30",
-         "--log2-m-cap", "6"], capsys)
+        ["search", "--k", "1024", "--c", "2", "--d", "2", "--delta", "1e-30"], capsys)
     assert code == 1
     assert "no feasible" in err
+
+
+def test_search_winner_fits_the_graph_guard(capsys):
+    # (16, 2^20, 8) is 2^27 adjacency slots, exactly the guard; the cheaper
+    # (64, 2^21, 8) is four times over it
+    code, out, _ = run_cli(["search", "--k", "65536", "--delta", "1e-9"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].startswith("65536,16,20,8,-14.836,")
 
 
 def test_loadbalance_cli_zero_overflow(capsys):
@@ -396,6 +403,45 @@ def test_bench_csv_schema(capsys):
     assert len(lines) == 5
 
 
+_GRAPH = ["gen", "--field", "gfp:257", "--k", "2", "--c", "2", "--m", "16", "--d", "2",
+          "--entropy", "--count", "4"]
+_EXPANDER = _GRAPH + ["--kind", "expander"]
+_CASCADE = _GRAPH + ["--kind", "cascade"]
+_LOADBALANCE = ["loadbalance", "--field", "gf2w:16", "--kind", "horner", "--k", "4",
+                "--m-machines", "1", "--b", "8", "--eps", "0.5", "--reps", "2"]
+_BENCH = ["bench", "--field", "gf2w:16", "--k", "4"]
+
+# argparse keeps the last occurrence of an option, so an appended option
+# overrides the base command's value
+_BAD_INPUT = {
+    "workload-burst": _LOADBALANCE + ["--workload", "burst:abc"],
+    "workload-poisson": _LOADBALANCE + ["--workload", "poisson:t=5;rate"],
+    "workload-poisson-rate-0": _LOADBALANCE + ["--workload", "poisson:rate=0"],
+    "seed-not-hex": ["gen", "--field", "gf2w:8", "--kind", "horner", "--k", "2",
+                     "--seed", "zz00", "--count", "1"],
+    "bench-reps-0": _BENCH + ["--kinds", "horner", "--reps", "0"],
+    "bench-values-0": _BENCH + ["--kinds", "expander", "--values", "0"],
+    "expander-c-0": _EXPANDER + ["--c", "0"],
+    "expander-d-0": _EXPANDER + ["--d", "0"],
+    "expander-k-0": _EXPANDER + ["--k", "0"],
+    "cascade-t-0": _CASCADE + ["--t", "0"],
+    "cascade-t--1": _CASCADE + ["--t", "-1"],
+    "verify-d-0": ["verify", "--field", "gf2w:4", "--kind", "expander", "--k", "2",
+                   "--c", "2", "--m", "4", "--d", "0", "--inner", "horner"],
+    "search-delta-0": ["search", "--k", "32", "--delta", "0"],
+    "search-c-0": ["search", "--k", "32", "--c", "0", "--delta", "1e-7"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUT))
+def test_bad_input_exits_config(case, capsys):
+    # invalid input is a configuration error (exit 2): not a traceback, not
+    # values, and not the exit 1 that verify keeps for a fail verdict
+    code, _, err = run_cli(_BAD_INPUT[case], capsys)
+    assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines()), err
+
+
 def test_cli_option_count_pinned():
     # every option of every subcommand, --help aside; a new option changes
     # this count on purpose
@@ -407,7 +453,7 @@ def test_cli_option_count_pinned():
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = [a for p in subs.choices.values() for a in p._actions
                if not isinstance(a, argparse._HelpAction)]
-    assert len(options) == 56
+    assert len(options) == 55
 
 
 def test_module_entry_point():

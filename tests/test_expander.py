@@ -17,7 +17,6 @@ from kgen.expander import (
     beta_pair,
     beta_poisson,
     delta_from_gamma,
-    gf2_rank,
     graph_from_bytes,
     graph_to_bytes,
     is_k_unique_bruteforce,
@@ -44,6 +43,17 @@ def unique_oracle(g, k):
             if not any(seen.count(y) == 1 for y in set(seen)):
                 return False
     return True
+
+
+def gf2_rank(rows):
+    """Rank over F_2 of rows given as int bitsets."""
+    basis = []
+    for v in rows:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 def subset_rank_oracle(g, k):
@@ -485,27 +495,35 @@ def test_sampling_success_where_bound_is_small():
 # -- parameter search ------------------------------------------------------------------
 
 def test_search_trivial_target():
-    r = search_parameters(16, [2, 4], [2, 4], 1 << 10, 1.0)
+    r = search_parameters(16, [2, 4], [2, 4], 1.0)
     assert all(row.m == 2 for row in r.rows)
 
 
 def test_search_known_feasible_row():
-    r = search_parameters(2**5, [16, 32, 64], [4, 8, 16], 1 << 26, 1e-7)
+    r = search_parameters(2**5, [16, 32, 64], [4, 8, 16], 1e-7)
     cell = next(row for row in r.rows if (row.c, row.d) == (64, 8))
     assert cell.feasible and cell.m <= 2**13
     assert r.winner is not None
 
 
 def test_search_tighter_target_grows_m():
-    loose = search_parameters(2**5, [64], [8], 1 << 26, 1e-7).rows[0]
-    tight = search_parameters(2**5, [64], [8], 1 << 26, 1e-10).rows[0]
+    loose = search_parameters(2**5, [64], [8], 1e-7).rows[0]
+    tight = search_parameters(2**5, [64], [8], 1e-10).rows[0]
     assert tight.m > loose.m
 
 
 def test_search_infeasible_reported():
-    r = search_parameters(2**10, [2], [2], 1 << 6, 1e-30)
+    r = search_parameters(2**10, [2], [2], 1e-30)
     assert r.winner is None
     assert not r.rows[0].feasible
+
+
+def test_search_winners_fit_the_graph_guard():
+    # every feasible cell is a graph sample_graph accepts
+    r = search_parameters(65536, [16, 32, 64], [4, 8, 16], 1e-9)
+    feasible = [row for row in r.rows if row.feasible]
+    assert feasible
+    assert all(row.c * row.m * row.d <= MAX_GRAPH_ENTRIES for row in feasible)
 
 
 def test_time_model_shape():

@@ -20,7 +20,6 @@ from kgen.generator import (
     build,
     build_cascade_generator,
     build_expander_generator,
-    required_independence,
     seed_from_hex,
     seed_to_hex,
     write_stream,
@@ -371,9 +370,11 @@ def test_expander_inner_independence_requirement():
         ExpanderGenerator(f, 4, ident, weak, 0.0)
 
 
-def test_required_independence_caps_at_period():
-    assert required_independence(8, 4) == 4
-    assert required_independence(3, 100) == 3
+def test_expander_inner_independence_caps_at_period():
+    # d*k = 8 exceeds the horner period |F| = 4, so the inner stream is
+    # 4-independent: full independence over its period
+    gen = build_expander_generator(Gf2w(2), 2, 2, 4, 4, inner_kind="horner")
+    assert gen.inner.descriptor.k == 4
 
 
 def test_expander_fork_determinism():
@@ -422,21 +423,19 @@ def test_expander_amortized_ops_flat_in_k():
 
 # -- cascade ----------------------------------------------------------------------
 
-def test_cascade_t0_is_base():
-    f = Gf2w(4)
-    gen = build_cascade_generator(f, 2, 2, 2, 0, base_kind="horner",
-                                  rng=random.Random(8))
-    assert gen.descriptor.kind == "horner"
+def test_cascade_refuses_t_below_one():
+    for t in (0, -1):
+        with pytest.raises(ConfigError, match="t >= 1"):
+            build_cascade_generator(Gf2w(4), 2, 2, 2, t, base_kind="horner",
+                                    rng=random.Random(8))
 
 
 def test_cascade_t1_equals_expander():
     f = Gf2w(4)
-    graph = sample_graph(2, 16, 2, random.Random(9))
     casc = build_cascade_generator(f, 2, 2, 2, 1, base_kind="horner",
-                                   rng=random.Random(10), m0=16, graphs=[graph])
+                                   rng=random.Random(10), m0=16)
     expd = build_expander_generator(f, 2, 2, 16, 2, inner_kind="horner",
-                                    rng=random.Random(10), graph=graph,
-                                    seed=casc.seed)
+                                    graph=casc.graphs[0], seed=casc.seed)
     assert casc.emit_batch(32) == expd.emit_batch(32)
 
 
