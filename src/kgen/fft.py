@@ -11,9 +11,12 @@ Two engines:
   through one multiplier u_d per level, which is F_2-linear in the shift,
   and evaluates many cosets in one call.  Lane products go through
   `Gf2w.mul_lanes` with multipliers in the field's lane form, so the plan
-  never knows how the field multiplies.  `evaluate_vec` is the two passes
-  for one coset; the scalar recursion `evaluate` is their oracle and keeps
-  the operation counts; and
+  never knows how the field multiplies.  For small transforms `top_down`
+  runs each level's Taylor expansion and split as one precomputed gather
+  and XOR-reduce, whose map depends only on the block size and is built
+  once per process.  `evaluate_vec` is the two passes for one coset; the
+  scalar recursion `evaluate` is their oracle and keeps the operation
+  counts; and
 * a multiplicative-coset DFT over GF(p) that walks the cosets
   omega^j * <omega_k>, which partition F_p^* exactly.  `evaluate_coset_vec`
   evaluates a whole coset into a uint64 array for every p: a numpy
@@ -135,9 +138,11 @@ class AdditiveFftPlan:
 
         At depth d all 2^d sub-problems share the level's twists, so the
         recursion runs over the (2^d, n/2^d) view of one array: twist,
-        Taylor-expand (two slice XORs per block size) and split even/odd
-        coefficients into consecutive rows.  The twists multiply through
-        one `mul_lanes` per level.
+        Taylor-expand and split even/odd coefficients into consecutive
+        rows.  The twists multiply through one `mul_lanes` per level.  Up to
+        _FUSED_MAX_SIZE coefficients, the expansion and split of a level are
+        one gather of `_taylor_split_map` and one XOR `reduceat`; above it,
+        two slice XORs per block size and a transpose.
         """
         f = self.field
         n = self.size
@@ -152,6 +157,12 @@ class AdditiveFftPlan:
             m = n >> d
             if lvl.lam != 1:
                 x = f.mul_lanes(twists[d], x.reshape(-1, m)).reshape(n)
+            if n <= _FUSED_MAX_SIZE:
+                if m > 2:  # a 2-block is its own expansion and split
+                    idx, starts = _taylor_split_map(m)
+                    x = np.bitwise_xor.reduceat(x.reshape(-1, m).take(idx, axis=1),
+                                                starts, axis=1).reshape(n)
+                continue
             size = m
             while size > 2:
                 v = x.reshape(-1, size)
@@ -285,6 +296,27 @@ def _taylor(c: list[int], lo: int, n: int):
             c[i] ^= c[i + q]
         _taylor(c, lo + half, half)
         n = half
+
+
+# Largest transform whose top_down runs each level as one fused gather: the
+# map of a 2^b-block gathers about (3/2)^b words per word, and from 2^10
+# words up the slice XORs are as fast or faster (measured at w = 16, 32, 64).
+_FUSED_MAX_SIZE = 1 << 9
+
+
+@functools.cache
+def _taylor_split_map(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Taylor expansion of an m-block followed by its even/odd split, as
+    a gather and `reduceat` offsets: output i is the XOR of the block's words
+    idx[starts[i]:starts[i + 1]].  The word sets are the rows of `_taylor`
+    applied to the identity; none is empty, as the map is invertible.  A pure
+    function of m, shared by every field and plan."""
+    eye = np.eye(m, dtype=bool)
+    _taylor(list(eye), 0, m)  # XORs the rows in place
+    rows, idx = np.nonzero(np.concatenate([eye[0::2], eye[1::2]]))
+    starts = np.searchsorted(rows, np.arange(m))
+    idx.flags.writeable = starts.flags.writeable = False
+    return idx, starts
 
 
 def _taylor_adds(n: int) -> int:

@@ -360,6 +360,14 @@ def _make_inner(field, kind: str, k_needed: int, rng: random.Random, seed=None):
     return make(field, k_inner, seed)
 
 
+def _check_shape(**shape):
+    """Refuse a shape parameter below 1, naming its option, before anything
+    is sampled or allocated."""
+    for name, value in shape.items():
+        if value < 1:
+            raise ConfigError(f"need {name} >= 1, got --{name}={value}")
+
+
 def build_expander_generator(
     field,
     k: int,
@@ -373,6 +381,7 @@ def build_expander_generator(
 ) -> ExpanderGenerator:
     """Sample (or accept) a (c, m, d) graph, compute its failure bound, and
     compose it with an inner generator of the requested kind."""
+    _check_shape(k=k, c=c, m=m, d=d)
     rng = rng or random.Random(0)
     if graph is None:
         graph = sample_graph(c, m, d, rng)
@@ -400,12 +409,11 @@ def build_cascade_generator(
     d^(t-i)*k; the declared failure probability is the union-bound sum of
     the level bounds.
     """
-    if t < 1:
-        raise ConfigError(f"cascade needs t >= 1 levels, got {t}")
     rng = rng or random.Random(0)
     base_period = _poly_period(field, base_kind)
     if m0 is None:
         m0 = base_period
+    _check_shape(k=k, c=c, m=m0, d=d, t=t)
     check_graph_size(sum(c ** i * m0 * d for i in range(1, t + 1)), "cascade")
     base = _make_inner(field, base_kind, min(d ** t * k, base_period), rng)
     graphs = [sample_graph(c, c ** (i - 1) * m0, d, rng) for i in range(1, t + 1)]
@@ -457,8 +465,10 @@ def build(spec: GeneratorSpec):
     if spec.kind == "fft-batch":
         return FftBatchGenerator(field, k, (0,) * k)
     period = _poly_period(field, spec.inner)
-    if spec.m is not None and (spec.m < 1 or period % spec.m):
-        raise ConfigError(f"--m={spec.m} must divide the {spec.inner} period {period}")
+    if spec.m is not None:
+        _check_shape(m=spec.m)
+        if period % spec.m:
+            raise ConfigError(f"--m={spec.m} must divide the {spec.inner} period {period}")
     rng = spawn_rng(spec.graph_seed, "graph")
     if spec.kind == "expander":
         return build_expander_generator(field, k, spec.c, spec.m, spec.d,
@@ -535,6 +545,8 @@ def write_stream(gen, fh, count: int, header: bool = False, fmt: str = "bin"):
     """
     if fmt not in ("bin", "hex", "csv"):
         raise ConfigError(f"unknown stream format {fmt!r}; use bin, hex or csv")
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}")
     elem_bytes = gen.field.elem_bytes
     width = 2 * elem_bytes
     if header:

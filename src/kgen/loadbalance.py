@@ -131,6 +131,8 @@ def run_experiment(
     Rejects workloads violating |L(x)|(1+eps) < m*b, reporting the violating
     timestamp.
     """
+    if repetitions < 1:
+        raise ConfigError(f"need at least one repetition, got {repetitions}")
     peak, at = total_load_peak(tasks)
     if peak * (1.0 + eps) >= m * b:
         raise ConfigError(
@@ -154,7 +156,7 @@ def run_experiment(
     return ExperimentResult(
         runs=repetitions,
         overflows=overflows,
-        frequency=overflows / repetitions if repetitions else 0.0,
+        frequency=overflows / repetitions,
         bound=bound,
         results=tuple(kept),
         seeds=tuple(seeds),
@@ -177,14 +179,21 @@ def wilson_interval(successes: int, n: int, z: float = 2.5758293035489004
 # Workloads
 # --------------------------------------------------------------------------
 
+def _check_task_count(t: int):
+    if t < 1:
+        raise ConfigError(f"a workload needs at least one task, got t={t}")
+
+
 def burst_workload(t: int, start: float = 0.0, duration: float = 1.0) -> list[Task]:
     """t identical overlapping tasks: the adversarial same-interval burst."""
+    _check_task_count(t)
     return [Task(start, start + duration) for _ in range(t)]
 
 
 def poisson_workload(t: int, rate: float, duration: float,
                      rng: random.Random) -> list[Task]:
     """t tasks with exponential inter-arrival gaps and fixed duration."""
+    _check_task_count(t)
     if not rate > 0:
         raise ConfigError(f"poisson workload needs rate > 0, got {rate}")
     tasks = []

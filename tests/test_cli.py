@@ -417,6 +417,11 @@ _BAD_INPUT = {
     "workload-burst": _LOADBALANCE + ["--workload", "burst:abc"],
     "workload-poisson": _LOADBALANCE + ["--workload", "poisson:t=5;rate"],
     "workload-poisson-rate-0": _LOADBALANCE + ["--workload", "poisson:rate=0"],
+    "workload-burst-0": _LOADBALANCE + ["--workload", "burst:0"],
+    "workload-burst--3": _LOADBALANCE + ["--workload", "burst:-3"],
+    "loadbalance-reps-0": _LOADBALANCE + ["--reps", "0"],
+    "gen-count--1": ["gen", "--field", "gf2w:8", "--kind", "horner", "--k", "2",
+                     "--seed", "0001", "--count", "-1"],
     "seed-not-hex": ["gen", "--field", "gf2w:8", "--kind", "horner", "--k", "2",
                      "--seed", "zz00", "--count", "1"],
     "bench-reps-0": _BENCH + ["--kinds", "horner", "--reps", "0"],
@@ -426,6 +431,7 @@ _BAD_INPUT = {
     "expander-k-0": _EXPANDER + ["--k", "0"],
     "cascade-t-0": _CASCADE + ["--t", "0"],
     "cascade-t--1": _CASCADE + ["--t", "-1"],
+    "cascade-d-0": _CASCADE + ["--t", "1", "--d", "0"],
     "verify-d-0": ["verify", "--field", "gf2w:4", "--kind", "expander", "--k", "2",
                    "--c", "2", "--m", "4", "--d", "0", "--inner", "horner"],
     "search-delta-0": ["search", "--k", "32", "--delta", "0"],
@@ -440,6 +446,25 @@ def test_bad_input_exits_config(case, capsys):
     code, _, err = run_cli(_BAD_INPUT[case], capsys)
     assert code == 2
     assert any(line.startswith("error:") for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (_EXPANDER + ["--k", "0"], "k"),
+    (_EXPANDER + ["--m", "0"], "m"),
+    (_CASCADE + ["--t", "1", "--d", "0"], "d"),
+    (_CASCADE + ["--t", "0"], "t"),
+])
+def test_graph_shape_refused_before_sampling(argv, name, capsys, monkeypatch):
+    # a shape parameter below 1 is refused by name before any graph is drawn
+    import kgen.generator
+
+    def no_sampling(*args):
+        raise AssertionError("graph sampled before the shape check")
+
+    monkeypatch.setattr(kgen.generator, "sample_graph", no_sampling)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"error: need {name} >= 1, got --{name}=0" in err
 
 
 def test_cli_option_count_pinned():

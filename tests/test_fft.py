@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from kgen import fft
 from kgen.errors import PeriodExhausted
 from kgen.field import FieldError, Gf2w, Gfp, find_primitive_element
 from kgen.fft import AdditiveFftPlan, CosetDftPlan
@@ -62,6 +63,26 @@ def test_additive_fft_vec_matches_scalar_and_naive(w):
             want = plan.evaluate(h.coeffs, shift)
             assert got.tolist() == want, (w, s, shift)
             assert want == naive_multipoint(h, plan.points(shift)), (w, s, shift)
+
+
+@pytest.mark.parametrize("w", [8, 16, 64])
+def test_additive_fft_top_down_both_paths_match_scalar(w, monkeypatch):
+    # every s from 0 to 13 (to w), on both sides of the crossover: each
+    # top_down path against the scalar recursion, and below the crossover
+    # the fused Taylor maps against the slice steps
+    f = Gf2w(w)
+    rng = random.Random(400 + w)
+    for s in range(min(w, 13) + 1):
+        plan = AdditiveFftPlan(f, s)
+        h = random_polynomial(f, 1 << s, rng)
+        coeffs = np.array(h.coeffs, dtype=np.uint64)
+        shift = f.random_element(rng)
+        top = plan.top_down(coeffs)
+        assert plan.evaluate_vec(coeffs, shift).tolist() == plan.evaluate(h.coeffs, shift), (w, s)
+        if plan.size <= fft._FUSED_MAX_SIZE:
+            with monkeypatch.context() as m:
+                m.setattr(fft, "_FUSED_MAX_SIZE", 0)  # the slice steps
+                assert plan.top_down(coeffs).tolist() == top.tolist(), (w, s)
 
 
 def _gray_shifts(w, s):

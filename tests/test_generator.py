@@ -219,7 +219,7 @@ def test_fft_batch_fork_shares_plan_data(spec, k):
 
 @pytest.mark.parametrize("spec,k", [("gf2w:16", 4), ("gf2w:24", 8), ("gf2w:64", 256),
                                     ("gf2w:64", 3)])
-def test_fft_batch_multi_batch_fill_spans(spec, k):
+def test_fft_batch_multi_batch_fill_spans(spec, k, monkeypatch):
     # fills that start and end mid-batch, and fills whose batches cross the
     # lane cap, equal per-batch evaluate_vec and naive multipoint evaluation
     f = parse_field_spec(spec)
@@ -229,7 +229,8 @@ def test_fft_batch_multi_batch_fill_spans(spec, k):
     size = gen.batch_size
     calls = []
     bottom_up = gen._plan.bottom_up
-    gen._plan.bottom_up = lambda x, shifts: calls.append(len(shifts)) or bottom_up(x, shifts)
+    monkeypatch.setattr(gen._plan, "bottom_up",
+                        lambda x, shifts: calls.append(len(shifts)) or bottom_up(x, shifts))
     spans = [1, size - 1, 2 * size + 1, _LANE_CAP + size + 1, size // 2 + 1, 3 * _LANE_CAP]
     got = []
     for n in spans:

@@ -135,6 +135,20 @@ def test_run_experiment_zero_overflow_when_capacity_ample():
     assert len(res.results) == 30 and len(res.seeds) == 30
 
 
+def test_empty_experiments_refused():
+    # no repetition or no task gives no frequency to report
+    f = Gf2w(4)
+    mk = lambda s: HornerGenerator(f, 2, [s & 15, (s >> 4) & 15])
+    for reps in (0, -1):
+        with pytest.raises(ConfigError, match="repetition"):
+            run_experiment(burst_workload(4), 1, 8, 0.5, mk, reps, random.Random(1))
+    for t in (0, -3):
+        with pytest.raises(ConfigError, match="task"):
+            burst_workload(t)
+        with pytest.raises(ConfigError, match="task"):
+            poisson_workload(t, 1.0, 1.0, random.Random(0))
+
+
 def test_run_experiment_frequency_below_vacuous_bound():
     f = Gf2w(4)
     mk = lambda s: HornerGenerator(f, 2, [s & 15, (s >> 4) & 15])
