@@ -4,8 +4,9 @@ Every kind is F-linear in its seed, so under a uniform seed k positions are
 jointly uniform exactly when their rows of the seed->stream matrix have rank
 k over F.  `rank_independence_check` decides that by elimination over F at
 any field size; it is what `kgen verify` runs.  `exhaustive_independence_check`
-enumerates every seed of a tiny field and counts each position subset with
-one `bincount`; it is the oracle the rank check is tested against.  Both
+enumerates every seed of a tiny field, range-checks the packed streams as
+one array, and counts position subsets a chunk at a time, one `bincount`
+per chunk; it is the oracle the rank check is tested against.  Both
 refuse (ConfigError) a check that would examine no subset."""
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .errors import ConfigError, GuardExceeded
 ENUM_GUARD = 10_000_000
 RANK_GUARD = 10_000_000  # field operations, about s*k*(k + subsets)
 POSITION_SUBSET_CAP = 200
+# int64 words per array in one chunk of exhaustive counting (128 KiB): 7
+# subsets at 2197 seeds.  2^15 words gained no time there and raised the
+# check's tracemalloc peak from 0.7 to 1.2 MiB.
+_COUNT_CHUNK_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -63,11 +68,18 @@ def exhaustive_independence_check(
     exactness claim honest).  Seed spaces above ENUM_GUARD are rejected with
     the scale that would be required.
 
-    The streams are packed into one (n, #seeds) matrix.  Each subset's
-    tuples are counted with one `bincount` of their mixed-radix keys
-    sum_j col[i_j] |F|^(k-1-j), so temporaries stay O(#seeds + |F|^k) per
-    subset.  A value outside [0, |F|) fails the check before any counting.
-    When |F|^k > #seeds no subset can pass; the first one fails with its
+    The streams are packed into one uint64 array, whose maximum is the
+    range check.  Only when it finds a value outside [0, |F|), or numpy
+    refuses one (negative, or >= 2^64), does a scalar scan name the first
+    such value; the check then fails before any counting.  Subsets are
+    counted a chunk at a time: each subset's tuples become the mixed-radix
+    keys sum_j col[i_j] |F|^(k-1-j), offset by the subset's place in the
+    chunk times |F|^k, and one `bincount` counts the whole chunk.  A chunk
+    holds _COUNT_CHUNK_WORDS / #seeds subsets (at least one), so its key,
+    gather and count arrays stay near 8 * _COUNT_CHUNK_WORDS bytes each
+    (|F|^k <= #seeds there).  The report, with `worst` taken up to the
+    first failing subset, is that of counting one subset at a time.  When
+    |F|^k > #seeds no subset can pass; the first one fails with its
     distinct tuples counted row-wise (the keys could overflow there).
     """
     _refuse_vacuous("exhaustive", k, n, max_position_subsets)
@@ -82,39 +94,57 @@ def exhaustive_independence_check(
     streams = [make_generator(seed).emit_batch(n)
                for seed in product(range(order), repeat=seed_len)]
 
-    bad = _out_of_range(streams, order, k)
-    if bad is not None:
-        return bad
-    columns = np.array(streams, dtype=np.uint64).T  # (n, #seeds)
+    try:
+        packed = np.array(streams, dtype=np.uint64)  # (#seeds, n)
+    except OverflowError:  # a value below 0 or above 2^64 - 1
+        packed = None
+    # a uint64 holds no value outside GF(2^64)
+    if packed is None or (order < 1 << 64 and int(packed.max()) >= order):
+        return _out_of_range(streams, order, k)
+    del streams  # the lists and their packed copy would outlive the counting
     tuple_count = order ** k
     expected = n_seeds / tuple_count
     subsets = islice(combinations(range(n), k), max_position_subsets)
 
     if tuple_count > n_seeds:
         subset = next(subsets)
-        _, counts = np.unique(columns[list(subset)].T, axis=0, return_counts=True)
+        _, counts = np.unique(packed[:, list(subset)], axis=0, return_counts=True)
         worst = max(float(counts.max()) - expected, expected)
         return IndependenceReport(
             "exact-fail", k, 1, worst,
             detail=f"subset={subset} tuples={len(counts)}/{tuple_count}",
         )
 
-    # values < |F| here, so keys stay below |F|^k <= #seeds
-    columns = np.ascontiguousarray(columns, dtype=np.int64)
+    # values < |F| here, so a chunk's keys stay below chunk * |F|^k
+    columns = np.ascontiguousarray(packed.T, dtype=np.int64)  # (n, #seeds)
+    del packed
+    chunk = max(1, min(max_position_subsets, _COUNT_CHUNK_WORDS // n_seeds))
+    keys = np.empty((chunk, n_seeds), dtype=np.int64)
+    gathered = np.empty_like(keys)
+    offsets = np.arange(0, chunk * tuple_count, tuple_count, dtype=np.int64)[:, None]
     worst = 0.0
-    for examined, subset in enumerate(subsets, 1):
-        key = columns[subset[0]]
-        for i in subset[1:]:
-            key = key * order + columns[i]
-        counts = np.bincount(key, minlength=tuple_count)
-        lo, hi = int(counts.min()), int(counts.max())
-        worst = max(worst, abs(lo - expected), abs(hi - expected))
-        if lo != hi or lo * tuple_count != n_seeds:
-            return IndependenceReport(
-                "exact-fail", k, examined, worst,
-                detail=f"subset={subset} tuples={np.count_nonzero(counts)}"
-                       f"/{tuple_count}",
-            )
+    examined = 0
+    while batch := list(islice(subsets, chunk)):
+        c = len(batch)
+        idx = np.array(batch, dtype=np.intp)  # (c, k)
+        key = keys[:c]
+        columns.take(idx[:, 0], axis=0, out=key, mode="clip")
+        for j in range(1, k):
+            key *= order
+            key += columns.take(idx[:, j], axis=0, out=gathered[:c], mode="clip")
+        key += offsets[:c]
+        counts = np.bincount(key.reshape(-1), minlength=c * tuple_count)
+        counts = counts.reshape(c, tuple_count)
+        los, his = counts.min(axis=1).tolist(), counts.max(axis=1).tolist()
+        for j, subset in enumerate(batch):
+            examined += 1
+            worst = max(worst, abs(los[j] - expected), abs(his[j] - expected))
+            if los[j] != his[j] or los[j] * tuple_count != n_seeds:
+                return IndependenceReport(
+                    "exact-fail", k, examined, worst,
+                    detail=f"subset={subset} tuples={np.count_nonzero(counts[j])}"
+                           f"/{tuple_count}",
+                )
     return IndependenceReport("exact-pass", k, examined, worst)
 
 

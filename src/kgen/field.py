@@ -166,7 +166,8 @@ class Gf2w:
 
     Multiplication is carryless product followed by a sparse-polynomial
     Barrett-style reduction; for w <= 16 a discrete-log table is additionally
-    built so that products cost three lookups.  Both routes are bit-identical.
+    built so that products cost three lookups and inverses two.  Both routes
+    are bit-identical.
     Lanes of uint64 arrays multiply by `mul_lanes` with multipliers that
     `lane_multipliers` puts in the field's lane form; the field alone picks
     that form (log tables or nibble tables), and callers only pass it on.
@@ -279,6 +280,19 @@ class Gf2w:
         """Shift-and-XOR route; used as the cross-check for the fast path."""
         return self.reduce(clmul_portable(a, b))
 
+    def horner(self, coeffs, xs) -> list[int]:
+        """sum_i coeffs[i] x^i at each x in xs (constant term first), by
+        Horner's rule through `mul`; operands canonical."""
+        mul = self.mul
+        top, rest = coeffs[-1], coeffs[-2::-1]
+        out = []
+        for x in xs:
+            acc = top
+            for c in rest:
+                acc = mul(acc, x) ^ c
+            out.append(acc)
+        return out
+
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise FieldError("negative exponent")
@@ -292,6 +306,14 @@ class Gf2w:
         return r
 
     def inv(self, a: int) -> int:
+        """a^-1: gen^(-log a) where the field has log tables, else
+        `inv_euclid`."""
+        exp = self._exp_table
+        if exp is None or a == 0:
+            return self.inv_euclid(a)
+        return exp[-self._log_table[a] % self.mult_order]
+
+    def inv_euclid(self, a: int) -> int:
         """Extended Euclid over F_2[x]: u = g1*a and v = g2*a (mod g) hold
         throughout, and the loop ends at u = 1 because gcd(a, g) = 1."""
         if a == 0:
@@ -455,6 +477,20 @@ class Gfp:
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
+
+    def horner(self, coeffs, xs) -> list[int]:
+        """sum_i coeffs[i] x^i at each x in xs (constant term first), by
+        Horner's rule with one remainder a step: (acc*x + c) % p equals
+        add(mul(acc, x), c) for canonical operands."""
+        p = self.p
+        top, rest = coeffs[-1], coeffs[-2::-1]
+        out = []
+        for x in xs:
+            acc = top
+            for c in rest:
+                acc = (acc * x + c) % p
+            out.append(acc)
+        return out
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

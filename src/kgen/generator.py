@@ -3,7 +3,8 @@
 
 Four kinds:
 
-* horner      -- direct polynomial evaluation, k-1 mults per value;
+* horner      -- direct polynomial evaluation, k-1 mults per value, through
+                 the field's scalar `horner`;
 * fft-batch   -- one size-k batch evaluation per k outputs (additive FFT
                  over GF(2^w), coset DFT over GF(p));
 * cascade     -- a chain of expanders multiplying the output volume by c per
@@ -38,6 +39,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +87,10 @@ def _check_seed(field, seed, want_len) -> tuple[int, ...]:
 
 class HornerGenerator:
     """Evaluates the seed polynomial over the field in enumeration order
-    (0, 1, 2, ... as canonical words); period |F|, zero failure probability."""
+    (0, 1, 2, ... as canonical words) through the field's scalar `horner`;
+    period |F|, zero failure probability.  The descriptor is built on first
+    access: exhaustive enumeration makes one generator per seed and reads
+    none."""
 
     def __init__(self, field, k: int, seed):
         if k < 1:
@@ -93,18 +98,20 @@ class HornerGenerator:
         if k > field.order:
             raise ConfigError(f"k={k} exceeds field size {field.order}")
         self.field = field
+        self.k = k
         self.seed = _check_seed(field, seed, k)
-        self.descriptor = GeneratorDescriptor(
-            "horner", field, k, field.order, 0.0, k
-        )
         self._pos = 0
 
+    @cached_property
+    def descriptor(self) -> GeneratorDescriptor:
+        return GeneratorDescriptor("horner", self.field, self.k, self.field.order, 0.0, self.k)
+
     def fork(self, seed) -> "HornerGenerator":
-        return HornerGenerator(self.field, self.descriptor.k, seed)
+        return HornerGenerator(self.field, self.k, seed)
 
     @property
     def remaining(self) -> int:
-        return self.descriptor.period - self._pos
+        return self.field.order - self._pos
 
     def emit(self) -> int:
         return self.emit_batch(1)[0]
@@ -114,15 +121,7 @@ class HornerGenerator:
             raise PeriodExhausted(f"{count} values requested, {self.remaining} remain")
         xs = range(self._pos, self._pos + count)
         self._pos += count
-        mul, add = self.field.mul, self.field.add
-        top, rest = self.seed[-1], self.seed[-2::-1]
-        out = []
-        for x in xs:
-            acc = top
-            for c in rest:
-                acc = add(mul(acc, x), c)
-            out.append(acc)
-        return out
+        return self.field.horner(self.seed, xs)
 
 
 class _BlockStream:

@@ -52,16 +52,29 @@ def peak_loads(tasks: Sequence[Task], assignment: Sequence[int], m: int,
     """Sweep the <= 2t interval endpoints; per machine, the maximum number of
     simultaneously active tasks.  Half-open intervals: an end and a start at
     the same time never overlap (ends are processed first)."""
-    if len(assignment) != len(tasks):
-        raise ConfigError("one machine index per task required")
+    return _simulate(_endpoint_order(tasks), assignment, m, b)
+
+
+def _endpoint_order(tasks: Sequence[Task]) -> list[tuple[float, int, int]]:
+    """The (time, kind, task index) of every endpoint in sweep order: by
+    time, ends (kind 0) before starts (kind 1), otherwise in task order."""
     events = []
-    for task, q in zip(tasks, assignment):
-        events.append((task.start, 1, q))
-        events.append((task.end, 0, q))
-    events.sort(key=lambda e: (e[0], e[1]))  # ends (0) before starts (1)
+    for i, task in enumerate(tasks):
+        events.append((task.start, 1, i))
+        events.append((task.end, 0, i))
+    events.sort(key=lambda e: (e[0], e[1]))
+    return events
+
+
+def _simulate(events, assignment: Sequence[int], m: int, b: int | None,
+              bound: float | None = None) -> SimulationResult:
+    """peak_loads over endpoints already in sweep order (_endpoint_order)."""
+    if 2 * len(assignment) != len(events):
+        raise ConfigError("one machine index per task required")
     active = [0] * m
     peaks = [0] * m
-    for _, kind, q in events:
+    for _, kind, i in events:
+        q = assignment[i]
         if kind == 1:
             active[q] += 1
             if active[q] > peaks[q]:
@@ -73,19 +86,20 @@ def peak_loads(tasks: Sequence[Task], assignment: Sequence[int], m: int,
         per_machine_peak=tuple(peaks),
         global_peak=global_peak,
         overflowed=None if b is None else global_peak > b,
+        bound=bound,
     )
 
 
 def total_load_peak(tasks: Sequence[Task]) -> tuple[int, float]:
     """Peak of |L(x)| over time and a timestamp attaining it."""
-    events = []
-    for task in tasks:
-        events.append((task.start, 1))
-        events.append((task.end, 0))
-    events.sort()
+    return _load_peak(_endpoint_order(tasks))
+
+
+def _load_peak(events) -> tuple[int, float]:
+    """total_load_peak over endpoints already in sweep order."""
     active = peak = 0
-    at = tasks[0].start if tasks else 0.0
-    for x, kind in events:
+    at = 0.0
+    for x, kind, _ in events:
         if kind == 1:
             active += 1
             if active > peak:
@@ -129,11 +143,13 @@ def run_experiment(
     exceeds capacity b, alongside the analytic bound.
 
     Rejects workloads violating |L(x)|(1+eps) < m*b, reporting the violating
-    timestamp.
+    timestamp.  The endpoints are sorted once per call; each repetition
+    sweeps its assignment in that order.
     """
     if repetitions < 1:
         raise ConfigError(f"need at least one repetition, got {repetitions}")
-    peak, at = total_load_peak(tasks)
+    events = _endpoint_order(tasks)
+    peak, at = _load_peak(events)
     if peak * (1.0 + eps) >= m * b:
         raise ConfigError(
             f"workload violates |L(x)|(1+eps) < m*b at x={at}: "
@@ -146,9 +162,7 @@ def run_experiment(
     for _ in range(repetitions):
         seed = rng.getrandbits(63)
         gen = make_generator(seed)
-        result = peak_loads(tasks, assign(tasks, m, gen), m, b)
-        result = SimulationResult(result.per_machine_peak, result.global_peak,
-                                  result.overflowed, bound)
+        result = _simulate(events, assign(tasks, m, gen), m, b, bound)
         overflows += bool(result.overflowed)
         if keep_results:
             kept.append(result)

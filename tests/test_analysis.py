@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 from itertools import combinations, islice, product
 
 import pytest
 
+from kgen import analysis
 from kgen.analysis import (
     POSITION_SUBSET_CAP,
     RANK_GUARD,
@@ -205,6 +207,48 @@ def _late_failing_subset():
     return make, f, 2, 2, 5
 
 
+def _worse_subset_after_the_first_failure():
+    """Horner k=2 over GF(5) with positions 3 and 4 held at 0: the third
+    pair, (0, 3), fails first; the last, (3, 4), one tuple 25 times, lies
+    further from uniform but is never examined."""
+    f = Gfp(5)
+
+    def make(seed):
+        values = HornerGenerator(f, 2, seed).emit_batch(5)
+        values[3] = values[4] = 0
+        return Const(values)
+
+    return make, f, 2, 2, 5
+
+
+def _gfp13_copied_position():
+    """Horner k=3 over GF(13), 2197 seeds, with position 5 a copy of 4."""
+    f = Gfp(13)
+
+    def make(seed):
+        values = HornerGenerator(f, 3, seed).emit_batch(13)
+        values[5] = values[4]
+        return Const(values)
+
+    return make, f, 3, 3, 13
+
+
+def _two_bad_values():
+    """Gfp(5), k=2: seed (1, 0) gives 5 at position 2 and the later seed
+    (3, 3) gives 2^64, which numpy refuses; the first one is named."""
+    f = Gfp(5)
+
+    def make(seed):
+        values = HornerGenerator(f, 2, seed).emit_batch(5)
+        if seed == (1, 0):
+            values[2] = 5
+        if seed == (3, 3):
+            values[0] = 2**64
+        return Const(values)
+
+    return make, f, 2, 2, 5
+
+
 ORACLE_CASES = [
     *(pytest.param((horner_factory(f, k), f, k, k, f.order), {},
                    id=f"horner-order{f.order}-{type(f).__name__}-k{k}")
@@ -218,13 +262,17 @@ ORACLE_CASES = [
     pytest.param((horner_factory(Gfp(5), 2), Gfp(5), 2, 2, 5),
                  {"max_position_subsets": 3}, id="subset-prefix"),
     pytest.param(_late_failing_subset, {}, id="late-failing-subset"),
+    pytest.param(_worse_subset_after_the_first_failure, {}, id="worse-subset-after-failure"),
     # value 4 never occurs: its count, 0, lies further from 5 than the top count, 7
     pytest.param((lambda seed: Const([(seed[0] + seed[1]) % 4]), Gfp(5), 2, 1, 1),
                  {}, id="missing-value"),
     pytest.param((lambda seed: Const([2**64 - 1, 0, 2**64 - 1]), Gf2w(64), 0, 2, 3),
                  {}, id="seedless-gf2w64"),
     *(pytest.param(lambda v=v: _corrupt_one_value(v), {}, id=f"out-of-range-{v}")
-      for v in (5, -1, 2**64)),
+      for v in (5, -1, 2**64, 2**63, 2**64 - 1, -2**64)),
+    pytest.param(_two_bad_values, {}, id="first-of-two-bad-values"),
+    pytest.param((lambda seed: Const([1, 2**64, 3]), Gf2w(64), 0, 2, 3),
+                 {}, id="seedless-gf2w64-above-2^64"),
 ]
 
 
@@ -234,6 +282,50 @@ def test_check_equals_dict_counting_reference(args, kwargs):
         args = args()
     assert exhaustive_independence_check(*args, **kwargs) == \
         _reference_check(*args, **kwargs)
+
+
+@pytest.mark.parametrize("words", [1, 60])
+@pytest.mark.parametrize("args,kwargs", ORACLE_CASES)
+def test_chunked_counting_equals_reference(args, kwargs, words, monkeypatch):
+    # words=1 counts one subset a chunk; 60 puts 2 to 6 subsets in a chunk
+    # of 9 to 25 seeds, so chunks end before, at and after a failing subset
+    if callable(args):
+        args = args()
+    monkeypatch.setattr(analysis, "_COUNT_CHUNK_WORDS", words)
+    assert exhaustive_independence_check(*args, **kwargs) == \
+        _reference_check(*args, **kwargs)
+
+
+def test_first_failing_subset_past_the_first_chunk():
+    args = _gfp13_copied_position()
+    chunk = analysis._COUNT_CHUNK_WORDS // 13 ** 3
+    r = exhaustive_independence_check(*args)
+    assert r == _reference_check(*args)
+    # (0, 4, 5) is the 31st subset, after the 11 + 10 + 9 of (0, 1|2|3, _)
+    assert r.positions_examined == 31 > 2 * chunk
+    assert r.detail == "subset=(0, 4, 5) tuples=169/2197"
+
+
+def test_counting_temporaries_stay_bounded():
+    # tracemalloc peak of a 200-subset check against a 1-subset one over the
+    # same 2197 streams: the chunked counting adds less than 256 KiB
+    f = Gfp(13)
+    streams = {seed: HornerGenerator(f, 3, seed).emit_batch(13)
+               for seed in product(range(13), repeat=3)}
+
+    def peak(cap):
+        tracemalloc.start()
+        try:
+            report = exhaustive_independence_check(lambda seed: Const(streams[seed]),
+                                                   f, 3, 3, 13, max_position_subsets=cap)
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, base = peak(1)
+    full, top = peak(POSITION_SUBSET_CAP)
+    assert one.passed and full == IndependenceReport("exact-pass", 3, 200, 0.0)
+    assert top - base < 256 << 10, (base, top)
 
 
 def test_check_reports_what_fails():

@@ -180,6 +180,20 @@ def test_gf2w_inverse_matches_fermat_power(w):
         f.inv(0)
 
 
+@pytest.mark.parametrize("w", [w for w in sorted(REDUCTION_POLYS) if w <= 16])
+def test_gf2w_table_inverse_matches_euclid(w):
+    # every nonzero element up to w = 12, a sample with both ends at w = 16
+    f = Gf2w(w)
+    if w <= 12:
+        elems = range(1, f.order)
+    else:
+        rng = random.Random(w)
+        elems = [1, 2, f.mask] + [rng.randrange(1, f.order) for _ in range(2000)]
+    for a in elems:
+        assert f.inv(a) == f.inv_euclid(a), (w, a)
+    assert (f._exp_table is None) == (w == 1)
+
+
 @pytest.mark.parametrize("w", [2, 3, 8, 16])
 def test_log_tables_are_generator_powers(w):
     f = Gf2w(w)

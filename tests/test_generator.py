@@ -72,6 +72,38 @@ def test_horner_emit_batch_equals_emit(field):
         assert g.emit_batch(order - 1) == want[1:]
 
 
+@pytest.mark.parametrize("spec", ["gfp:13", "gfp:2305843009213693951", "gf2w:8",
+                                  "gf2w:16", "gf2w:64"])
+def test_field_horner_equals_horner_eval(spec):
+    # the first and the last positions of the period, and every k up to 5
+    f = parse_field_spec(spec)
+    rng = random.Random(spec)
+    xs = sorted({*range(min(f.order, 40)), *range(f.order - 3, f.order)})
+    for k in range(1, 6):
+        coeffs = (f.order - 1,) + tuple(f.random_element(rng) for _ in range(k - 1))
+        h = Polynomial(f, coeffs)
+        assert f.horner(coeffs, xs) == [horner_eval(h, x) for x in xs], (spec, k)
+        assert f.horner(coeffs, []) == []
+    if f.order <= 1 << 16:  # a generator's last values, where its period can be run
+        g = HornerGenerator(f, 3, coeffs[:3])
+        g.emit_batch(f.order - 3)
+        assert g.emit_batch(3) == [horner_eval(Polynomial(f, coeffs[:3]), x) for x in xs[-3:]]
+
+
+def test_horner_descriptor_built_on_first_access():
+    f = Gf2w(16)
+    g = HornerGenerator(f, 2, [1, 2])
+    g.emit_batch(4)
+    child = g.fork([3, 4])
+    assert (g.remaining, child.remaining, child.emit()) == (f.order - 4, f.order, 3)
+    assert "descriptor" not in vars(g) and "descriptor" not in vars(child)
+    eager = GeneratorDescriptor("horner", f, 2, f.order, 0.0, 2)
+    assert g.descriptor == eager and g.descriptor is g.descriptor
+    assert g.descriptor.header_line(g.seed) == eager.header_line((1, 2)) == (
+        "# kind=horner field=gf2w:16 k=2 period=65536 delta=0 seedlen=2"
+        " seed=00010002\n")
+
+
 def test_horner_rejections():
     with pytest.raises(ConfigError):
         HornerGenerator(Gfp(5), 6, [0] * 6)  # k > |F|
