@@ -36,11 +36,18 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x, 0) for x in text.split(",") if x]
 
 
+def _need_ks(ks: list[int]) -> list[int]:
+    """Refuse an empty --k list, which would run nothing."""
+    if not ks:
+        raise ConfigError("--k needs at least one value")
+    return ks
+
+
 def _build(args, k: int | None = None):
     """The prototype of the generator the common options describe, with
     independence `k` in place of --k when given."""
     return build(GeneratorSpec(
-        args.kind, parse_field_spec(args.field), k or args.k, args.c, args.m,
+        args.kind, parse_field_spec(args.field), args.k if k is None else k, args.c, args.m,
         args.d, args.t, args.inner, args.graph_seed,
     ))
 
@@ -86,9 +93,10 @@ def cmd_gen(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_search(args) -> int:
+    ks = _need_ks(args.k)
     print("k,c,log2_m,d,log10_delta,predicted_ns")
     any_feasible = False
-    for k in args.k:
+    for k in ks:
         result = search_parameters(k, args.c, args.d, args.delta)
         rows = result.rows if args.full else (
             (result.winner,) if result.winner else ()
@@ -111,12 +119,13 @@ def cmd_search(args) -> int:
 
 def cmd_bench(args) -> int:
     field = parse_field_spec(args.field)
+    ks = _need_ks(args.k)
     print("k,kind,setup_s,ns_per_value,inner_ns,lookup_ns")
-    for k in args.k:
+    for k in ks:
         for kind in args.kinds.split(","):
             t0 = time.perf_counter()
-            proto = build(GeneratorSpec(kind, field, k, c=args.c or 4, m=args.m or 1 << 13,
-                                        d=args.d or 8, graph_seed=args.graph_seed))
+            proto = build(GeneratorSpec(kind, field, k, c=args.c, m=args.m, d=args.d,
+                                        graph_seed=args.graph_seed))
             setup_s = time.perf_counter() - t0
             seed = seed_from_int(field, proto.descriptor.seed_len, args.graph_seed)
             make = lambda: proto.fork(seed)
@@ -144,8 +153,10 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     proto = _build(args, args.seedlen)
-    # the positions that --max-positions lexicographic k-subsets reach
-    n = args.n or min(proto.descriptor.period, args.k - 1 + args.max_positions)
+    n = args.n
+    if n is None:
+        # the positions that --max-positions lexicographic k-subsets reach
+        n = min(proto.descriptor.period, args.k - 1 + args.max_positions)
     report = analysis.rank_independence_check(
         proto.fork, proto.field, proto.descriptor.seed_len, args.k, n, args.max_positions)
     print(report.to_line())
@@ -248,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", default="horner,fft-batch,expander")
     p.add_argument("--values", type=int, default=4096)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--c", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--c", type=int, default=4)
+    p.add_argument("--m", type=int, default=1 << 13)
+    p.add_argument("--d", type=int, default=8)
     p.add_argument("--graph-seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -1,16 +1,17 @@
-"""Random unbalanced bipartite graphs, stacking, brute-force verification
-oracles, and the failure-probability bound calculators that size them.
+"""Random unbalanced bipartite graphs, stacking, a brute-force row-subset
+oracle, the failure-probability bounds that size the graphs, and the
+(c, m, d) parameter search.
 
-A graph is held as one padded (c*m, d) uint32 array, the same layout as its
-serialized form, so sampling, stacking, validation and (de)serialization are
-array operations.  A generator sums rows with `row_sums`, which reads the
-array once per call, a slab of left vertices at a time, and gathers from a
-right table held in the narrowest word its reduction fits.  Size guards
-fire before that array is allocated.
+A graph is held as one padded (c*m, d) uint32 array, so sampling, stacking
+and validation are array operations.  A generator sums rows with
+`row_sums`, which reads the array once per call, a slab of left vertices at
+a time, and gathers from a right table held in the narrowest word its
+reduction fits.  Size guards fire before that array is allocated.
 
 All bound arithmetic runs in log10 space with log-gamma factorials: the
 interesting failure probabilities reach 1e-46, far below what direct floats
-survive.
+survive.  `cascade_failure_bound` is the one delta a sampled generator
+declares: the union bound over its levels, an expander being one level.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import mmap
 import random
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
@@ -31,15 +31,12 @@ _LN10 = math.log(10.0)
 _LOG10_E = math.log10(math.e)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-BRUTE_FORCE_MAX_LEFT = 24
 SUBSET_ENUM_BUDGET = 2_000_000
 
 
 # --------------------------------------------------------------------------
 # Graphs
 # --------------------------------------------------------------------------
-
-_PAD = 0xFFFFFFFF
 
 # Largest c*m*d a graph may hold: 512 MiB of uint32 adjacency slots.
 MAX_GRAPH_ENTRIES = 1 << 27
@@ -65,12 +62,11 @@ def check_graph_size(entries: int, what: str = "graph"):
 class BipartiteGraph:
     """Left side c*m vertices, right side m vertices, out-degree <= d.
 
-    The edges are one padded (c*m, d) uint32 array, the layout graphs have on
-    disk: row x holds the neighbors of left vertex x in increasing order,
-    then the pad index m in the slots deduplication left empty.  A right
-    table with a zero appended at index m therefore sums every row without
-    masking.  Each row without its pads is exactly the support of the
-    corresponding F_2 matrix row.
+    The edges are one padded (c*m, d) uint32 array: row x holds the
+    neighbors of left vertex x in increasing order, then the pad index m in
+    the slots deduplication left empty.  A right table with a zero appended
+    at index m therefore sums every row without masking.  Each row without
+    its pads is exactly the support of the corresponding F_2 matrix row.
 
     `edges` may also be given as c*m rows of neighbor indices (sorted and
     duplicate-free); `adjacency` gives them back as int tuples.
@@ -81,7 +77,7 @@ class BipartiteGraph:
     def __init__(self, c: int, m: int, d: int, edges):
         if c < 1 or m < 1 or d < 1:
             raise ConfigError("c, m, d must all be >= 1")
-        if m >= _PAD:
+        if m >= 0xFFFFFFFF:
             raise ConfigError(f"right size m={m} does not fit the uint32 layout")
         if not isinstance(edges, np.ndarray):
             edges = _pack_rows(edges, m, d)
@@ -298,26 +294,8 @@ def stack(g: BipartiteGraph, b: int) -> BipartiteGraph:
 
 
 # --------------------------------------------------------------------------
-# Brute-force verification oracles
+# Brute-force verification oracle
 # --------------------------------------------------------------------------
-
-def is_k_unique_bruteforce(g: BipartiteGraph, k: int) -> bool:
-    """Exponential sweep: every nonempty S with |S| <= k must have a right
-    vertex adjacent to exactly one member of S."""
-    n = g.n_left
-    if n > BRUTE_FORCE_MAX_LEFT:
-        raise GuardExceeded(
-            f"brute-force uniqueness sweep needs cm <= {BRUTE_FORCE_MAX_LEFT}, got {n}")
-    for size in range(1, min(k, n) + 1):
-        for subset in combinations(range(n), size):
-            counts: dict[int, int] = {}
-            for x in subset:
-                for y in g.adjacency[x]:
-                    counts[y] = counts.get(y, 0) + 1
-            if 1 not in counts.values():
-                return False
-    return True
-
 
 def all_small_row_subsets_independent(
     g: BipartiteGraph,
@@ -406,34 +384,6 @@ def _logsumexp10(terms: np.ndarray) -> float:
     return m + math.log10(float(np.sum(np.power(10.0, finite - m))))
 
 
-def unique_failure_bound(c: int, m: int, d: int, k: int) -> BoundResult:
-    """Union bound on a sampled graph failing to be a unique-neighbor
-    expander: sum over subset sizes i of
-    (c*m*e^{1+d/2} * ((d/2) * i^{1-1/(d/2)} / m)^{d/2})^i."""
-    if k * d > m:
-        raise ValueError(f"requires k*d <= m, got k*d={k * d} > m={m}")
-    i = np.arange(1, k + 1, dtype=np.float64)
-    half_d = d / 2.0
-    bracket = (
-        math.log10(c * m)
-        + (1.0 + half_d) * _LOG10_E
-        + half_d * (math.log10(half_d) + (1.0 - 1.0 / half_d) * np.log10(i) - math.log10(m))
-    )
-    terms = i * bracket
-    return BoundResult(
-        log10_delta=_logsumexp10(terms),
-        per_size_log10={int(n): float(t) for n, t in zip(i, terms)},
-    )
-
-
-def delta_from_gamma(c: int, d: int, gamma: float) -> float:
-    """Failure probability as a function of imbalance, degree and the
-    oversizing factor gamma > 1 (with m = O(d k gamma)): e*c*d / gamma^(d/2-1)."""
-    if gamma <= 1:
-        raise ValueError("gamma must exceed 1")
-    return math.e * c * d / gamma ** (d / 2.0 - 1.0)
-
-
 def beta_pair(i, d: int, m: int):
     """log10 of (i*d - 1)!! * (1/m)^(i*d/2): the pairing bound on i fixed
     rows XORing to zero.  Odd i*d has even parity probability zero => -inf.
@@ -469,6 +419,19 @@ def rank_failure_bound(c: int, m: int, d: int, k: int) -> BoundResult:
         log10_delta=_logsumexp10(terms),
         per_size_log10=dict(zip(range(1, k + 1), terms.tolist())),
     )
+
+
+def cascade_failure_bound(c: int, m0: int, d: int, k: int, t: int) -> BoundResult:
+    """Union bound over the t levels of a cascade: level i is a
+    (c, c^(i-1)*m0, d) graph that must carry min(d^(t-i)*k, c^i*m0)-wise
+    independence, since no row subset outgrows its c^i*m0 rows.  An
+    expander is the one level t = 1, where this equals
+    rank_failure_bound(c, m0, d, k) at every k."""
+    levels = np.array([
+        rank_failure_bound(c, c ** (i - 1) * m0, d, min(d ** (t - i) * k, c ** i * m0)).log10_delta
+        for i in range(1, t + 1)
+    ])
+    return BoundResult(_logsumexp10(levels))
 
 
 # --------------------------------------------------------------------------
@@ -532,7 +495,7 @@ def search_parameters(
     d_candidates: Sequence[int],
     delta_target: float,
 ) -> SearchResult:
-    """For each (c, d): the least power-of-two m whose rank failure bound
+    """For each (c, d): the least power-of-two m whose expander failure bound
     meets the target, among those whose graph `sample_graph` accepts
     (c*m*d <= MAX_GRAPH_ENTRIES); feasible triples ranked by predicted time."""
     if k < 1 or min(c_candidates, default=0) < 1 or min(d_candidates, default=0) < 1:
@@ -545,7 +508,7 @@ def search_parameters(
     def solve(c, d):
         m = 2
         while c * m * d <= MAX_GRAPH_ENTRIES:
-            bound = rank_failure_bound(c, m, d, k).log10_delta
+            bound = cascade_failure_bound(c, m, d, k, 1).log10_delta
             # the bound is a probability: anything above 1 is trivially 1
             if min(bound, 0.0) <= log10_target:
                 return SearchRow(c, d, m, bound, model.predict(c, m, d, k))
@@ -557,20 +520,3 @@ def search_parameters(
     winner = min(feasible, key=lambda r: (r.predicted_ns, r.c, r.d)) if feasible else None
     return SearchResult(k=k, delta_target=delta_target, rows=rows, winner=winner)
 
-
-# --------------------------------------------------------------------------
-# Serialization
-# --------------------------------------------------------------------------
-
-def graph_to_bytes(g: BipartiteGraph) -> bytes:
-    """Header (c, m, d) as little-endian u32, then c*m*d little-endian u32
-    neighbor indices, 0xFFFFFFFF padding the deduplicated slots."""
-    body = np.where(g.edges == g.m, np.uint32(_PAD), g.edges).astype("<u4", copy=False)
-    return struct.pack("<III", g.c, g.m, g.d) + body.tobytes()
-
-
-def graph_from_bytes(data: bytes) -> BipartiteGraph:
-    c, m, d = struct.unpack_from("<III", data, 0)
-    raw = np.frombuffer(data, dtype="<u4", count=c * m * d, offset=12).reshape(c * m, d)
-    edges = np.where(raw == _PAD, np.uint32(m), raw).astype(np.uint32, copy=False)
-    return BipartiteGraph(c, m, d, edges)

@@ -47,10 +47,8 @@ from .entropy import spawn_rng
 from .errors import ConfigError, PeriodExhausted
 from .expander import (
     BipartiteGraph,
-    BoundResult,
-    _logsumexp10,
+    cascade_failure_bound,
     check_graph_size,
-    rank_failure_bound,
     sample_graph,
 )
 from .fft import AdditiveFftPlan, CosetDftPlan
@@ -85,6 +83,15 @@ def _check_seed(field, seed, want_len) -> tuple[int, ...]:
     return seed
 
 
+def _check_count(count: int, remaining: int):
+    """Refuse a batch request, before the cursor moves, that is negative or
+    runs past the period."""
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}")
+    if count > remaining:
+        raise PeriodExhausted(f"{count} values requested, {remaining} remain")
+
+
 class HornerGenerator:
     """Evaluates the seed polynomial over the field in enumeration order
     (0, 1, 2, ... as canonical words) through the field's scalar `horner`;
@@ -117,8 +124,7 @@ class HornerGenerator:
         return self.emit_batch(1)[0]
 
     def emit_batch(self, count: int) -> list[int]:
-        if count > self.remaining:
-            raise PeriodExhausted(f"{count} values requested, {self.remaining} remain")
+        _check_count(count, self.remaining)
         xs = range(self._pos, self._pos + count)
         self._pos += count
         return self.field.horner(self.seed, xs)
@@ -151,8 +157,7 @@ class _BlockStream:
     def fill(self, count: int) -> np.ndarray:
         """The next `count` values as a uint64 array (read-only when it lies
         within one block)."""
-        if count > self.remaining:
-            raise PeriodExhausted(f"{count} values requested, {self.remaining} remain")
+        _check_count(count, self.remaining)
         parts = []
         while count > 0:
             if self._block is None or self._cursor >= len(self._block):
@@ -386,10 +391,10 @@ def build_expander_generator(
         graph = sample_graph(c, m, d, rng)
     elif (graph.c, graph.m, graph.d) != (c, m, d):
         raise ConfigError("supplied graph does not match (c, m, d)")
-    bound = rank_failure_bound(c, m, d, k)
+    delta = cascade_failure_bound(c, m, d, k, 1).delta
     inner = _make_inner(field, inner_kind, min(d * k, _poly_period(field, inner_kind)),
                         rng, seed)
-    return ExpanderGenerator(field, k, graph, inner, bound.delta)
+    return ExpanderGenerator(field, k, graph, inner, delta)
 
 
 def build_cascade_generator(
@@ -405,8 +410,8 @@ def build_cascade_generator(
     """Cascade of t >= 1 sampled levels over a base generator.
 
     Level i is a (c, c^(i-1)*m0, d) graph with independence target
-    d^(t-i)*k; the declared failure probability is the union-bound sum of
-    the level bounds.
+    d^(t-i)*k; the declared failure probability is `cascade_failure_bound`,
+    the union-bound sum of the level bounds.
     """
     rng = rng or random.Random(0)
     base_period = _poly_period(field, base_kind)
@@ -416,11 +421,7 @@ def build_cascade_generator(
     check_graph_size(sum(c ** i * m0 * d for i in range(1, t + 1)), "cascade")
     base = _make_inner(field, base_kind, min(d ** t * k, base_period), rng)
     graphs = [sample_graph(c, c ** (i - 1) * m0, d, rng) for i in range(1, t + 1)]
-    log_terms = np.array([
-        rank_failure_bound(g.c, g.m, g.d, min(d ** (t - i) * k, g.n_left)).log10_delta
-        for i, g in enumerate(graphs, start=1)
-    ])
-    return CascadeGenerator(field, k, graphs, base, BoundResult(_logsumexp10(log_terms)).delta)
+    return CascadeGenerator(field, k, graphs, base, cascade_failure_bound(c, m0, d, k, t).delta)
 
 
 @dataclass(frozen=True)

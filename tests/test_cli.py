@@ -436,6 +436,15 @@ _BAD_INPUT = {
                    "--c", "2", "--m", "4", "--d", "0", "--inner", "horner"],
     "search-delta-0": ["search", "--k", "32", "--delta", "0"],
     "search-c-0": ["search", "--k", "32", "--c", "0", "--delta", "1e-7"],
+    "search-k-empty": ["search", "--k", "", "--delta", "1e-3"],
+    "bench-k-empty": ["bench", "--k", ""],
+    # an explicit zero reaches the refusals, not the defaults
+    "verify-n-0": ["verify", "--field", "gfp:5", "--kind", "horner", "--k", "3", "--n", "0"],
+    "verify-seedlen-0": ["verify", "--field", "gfp:5", "--kind", "horner", "--k", "3",
+                         "--seedlen", "0"],
+    "bench-c-0": _BENCH + ["--kinds", "expander", "--c", "0"],
+    "bench-m-0": _BENCH + ["--kinds", "expander", "--m", "0"],
+    "bench-d-0": _BENCH + ["--kinds", "expander", "--d", "0"],
 }
 
 

@@ -16,15 +16,11 @@ from kgen.expander import (
     all_small_row_subsets_independent,
     beta_pair,
     beta_poisson,
-    delta_from_gamma,
-    graph_from_bytes,
-    graph_to_bytes,
-    is_k_unique_bruteforce,
+    cascade_failure_bound,
     rank_failure_bound,
     sample_graph,
     search_parameters,
     stack,
-    unique_failure_bound,
 )
 from kgen.field import Gf2w, Gfp
 from kgen.generator import build_expander_generator
@@ -166,7 +162,6 @@ def test_sampled_graph_is_mmap_backed_and_shared_by_forks():
     assert not g.edges.flags.writeable
     with pytest.raises(ValueError):
         g.edges[0, 0] = 1
-    assert graph_from_bytes(graph_to_bytes(g)) == g
     child = gen.fork(gen.seed)
     assert child.graph is g
     rng = random.Random(4)
@@ -286,32 +281,10 @@ def test_stack_preserves_both_properties():
             assert (all_small_row_subsets_independent(st, k)
                     == all_small_row_subsets_independent(g, k))
             if st.n_left <= 24:
-                assert is_k_unique_bruteforce(st, k) == is_k_unique_bruteforce(g, k)
+                assert unique_oracle(st, k) == unique_oracle(g, k)
 
 
-# -- uniqueness / independence oracles --------------------------------------------
-
-def test_uniqueness_trivia():
-    matching = BipartiteGraph(1, 4, 1, ((0,), (1,), (2,), (3,)))
-    assert is_k_unique_bruteforce(matching, 4)
-    dup = BipartiteGraph(1, 3, 2, ((0, 1), (0, 1), (2,)))
-    assert is_k_unique_bruteforce(dup, 1)
-    assert not is_k_unique_bruteforce(dup, 2)
-
-
-def test_uniqueness_matches_second_oracle():
-    rng = random.Random(6)
-    for _ in range(40):
-        g = sample_graph(2, 4, rng.choice([1, 2, 3]), rng)
-        for k in (1, 2, 3):
-            assert is_k_unique_bruteforce(g, k) == unique_oracle(g, k)
-
-
-def test_uniqueness_guard():
-    g = sample_graph(2, 16, 2, random.Random(0))
-    with pytest.raises(GuardExceeded):
-        is_k_unique_bruteforce(g, 2)
-
+# -- row-subset independence oracle --------------------------------------------
 
 def test_row_subsets_trivia():
     ident = BipartiteGraph(1, 4, 1, ((0,), (1,), (2,), (3,)))
@@ -351,46 +324,6 @@ def test_row_subsets_guard():
 
 
 # -- bound calculators --------------------------------------------------------------
-
-def test_unique_failure_bound_k1_example():
-    r = unique_failure_bound(1, 64, 8, 1)
-    # single term (m e^5 (4/64)^4)^1, evaluated independently
-    want = math.log10(64) + 5 * math.log10(math.e) + 4 * math.log10(4 / 64)
-    assert math.isclose(r.log10_delta, want, rel_tol=1e-12)
-    assert set(r.per_size_log10) == {1}
-
-
-def test_unique_failure_bound_monotone_in_m():
-    vals = [unique_failure_bound(2, m, 8, 4).log10_delta
-            for m in (64, 128, 256, 512, 1024)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_unique_failure_bound_term_structure():
-    # the per-size bracket (term_i)^(1/i) grows with i, so each term is
-    # bounded by the i-th power of the largest (i = k) bracket
-    r = unique_failure_bound(2, 512, 8, 8)
-    brackets = {i: term / i for i, term in r.per_size_log10.items()}
-    ordered = [brackets[i] for i in sorted(brackets)]
-    assert all(a <= b + 1e-9 for a, b in zip(ordered, ordered[1:]))
-    top = ordered[-1]
-    if top < 0:  # bracket < 1
-        for i, term in r.per_size_log10.items():
-            assert term <= i * top + 1e-9
-
-
-def test_unique_failure_bound_guard():
-    with pytest.raises(ValueError):
-        unique_failure_bound(2, 16, 8, 4)  # k d > m
-
-
-def test_delta_from_gamma():
-    assert math.isclose(delta_from_gamma(2, 6, 4), math.e * 12 / 16)
-    assert delta_from_gamma(2, 6, 8) < delta_from_gamma(2, 6, 4)
-    assert math.isclose(delta_from_gamma(3, 2, 5), math.e * 6)  # exponent 0
-    with pytest.raises(ValueError):
-        delta_from_gamma(2, 6, 1.0)
-
 
 def test_beta_pair_anchors():
     assert math.isclose(10 ** beta_pair(2, 1, 2), 0.5)
@@ -462,6 +395,26 @@ def test_rank_failure_bound_uses_min_of_betas():
         assert term <= lb + beta_poisson(i, 4, 64) + 1e-9
 
 
+def test_one_level_cascade_bound_is_rank_failure_bound():
+    # an expander declares the one-level sum; subsets larger than the c*m
+    # rows contribute nothing, so clamping k to c*m moves neither value
+    for c, m, d in product((1, 2, 4, 16), (2, 8, 64, 2**13), (1, 2, 4, 8)):
+        for k in (1, 2, 5, 64, c * m, c * m + 1, 5000):
+            want = rank_failure_bound(c, m, d, k)
+            got = cascade_failure_bound(c, m, d, k, 1)
+            assert got.log10_delta == want.log10_delta, (c, m, d, k)
+            assert got.delta == want.delta
+
+
+def test_cascade_bound_sums_its_levels():
+    # level i: a (c, c^(i-1)*m0, d) graph needing min(d^(t-i)*k, c^i*m0)
+    c, m0, d, k, t = 4, 16, 2, 8, 3
+    levels = [rank_failure_bound(c, c ** (i - 1) * m0, d, min(d ** (t - i) * k, c ** i * m0))
+              for i in range(1, t + 1)]
+    want = math.log10(sum(10 ** r.log10_delta for r in levels))
+    assert math.isclose(cascade_failure_bound(c, m0, d, k, t).log10_delta, want, rel_tol=1e-12)
+
+
 def test_rank_failure_bound_table_rows():
     assert rank_failure_bound(64, 2**13, 8, 2**5).log10_delta <= -7
     assert rank_failure_bound(64, 2**18, 8, 2**10).log10_delta <= -12
@@ -530,23 +483,3 @@ def test_time_model_shape():
     tm = TimeModel()
     assert tm.predict(64, 1 << 13, 8, 1 << 10) < tm.predict(16, 1 << 13, 8, 1 << 10)
     assert tm.lookup_ns(1 << 10) <= tm.lookup_ns(1 << 22)
-
-
-# -- serialization -----------------------------------------------------------------------
-
-def test_graph_bytes_roundtrip():
-    rng = random.Random(3)
-    for _ in range(10):
-        g = sample_graph(rng.choice([1, 2, 4]), rng.choice([2, 8, 32]),
-                         rng.choice([1, 3, 4]), rng)
-        assert graph_from_bytes(graph_to_bytes(g)) == g
-
-
-def test_graph_bytes_layout():
-    g = BipartiteGraph(1, 2, 3, ((0,), (0, 1)))
-    raw = graph_to_bytes(g)
-    assert raw[:12] == (1).to_bytes(4, "little") + (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
-    assert raw[12:16] == (0).to_bytes(4, "little")
-    assert raw[16:20] == b"\xff\xff\xff\xff"  # padding for deduplicated slot
-    assert len(raw) == 12 + 4 * 2 * 3
-    assert graph_from_bytes(raw) == g

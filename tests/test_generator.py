@@ -645,6 +645,20 @@ def test_write_stream_bytes_equal_emit_batch(kind):
     assert buf.getvalue() == want
 
 
+@pytest.mark.parametrize("kind", sorted(_SMALL_KINDS))
+def test_negative_count_refused_before_the_cursor_moves(kind):
+    # a negative count once rewound a horner stream into replaying values
+    gen, twin = _SMALL_KINDS[kind](), _SMALL_KINDS[kind]()
+    head = gen.emit_batch(3)
+    takes = [gen.emit_batch] + ([gen.fill] if hasattr(gen, "fill") else [])
+    for take in takes:
+        for count in (-1, -2):
+            with pytest.raises(ConfigError, match="count must be >= 0"):
+                take(count)
+    assert gen.remaining == twin.remaining - 3
+    assert head + gen.emit_batch(3) == twin.emit_batch(6)
+
+
 def test_write_stream_three_byte_words():
     f = Gf2w(24)
     gen = _small_expander(f, m=16, inner="fft-batch")
