@@ -3,7 +3,8 @@ independence verification by rank over the field, benchmarking and
 load-balance experiments.
 
 Exit codes: 0 success/pass, 1 fail verdict, 2 invalid configuration,
-3 brute-force or rank guard exceeded.
+3 brute-force, rank or size guard exceeded.  A refused command prints
+nothing on stdout: every check runs before the first line is written.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .field import parse_field_spec
 from .generator import (
     GeneratorSpec,
     build,
+    check_positive,
     seed_from_hex,
     seed_from_int,
     write_stream,
@@ -93,11 +95,11 @@ def cmd_gen(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_search(args) -> int:
-    ks = _need_ks(args.k)
+    results = [(k, search_parameters(k, args.c, args.d, args.delta))
+               for k in _need_ks(args.k)]
     print("k,c,log2_m,d,log10_delta,predicted_ns")
     any_feasible = False
-    for k in ks:
-        result = search_parameters(k, args.c, args.d, args.delta)
+    for k, result in results:
         rows = result.rows if args.full else (
             (result.winner,) if result.winner else ()
         )
@@ -119,31 +121,34 @@ def cmd_search(args) -> int:
 
 def cmd_bench(args) -> int:
     field = parse_field_spec(args.field)
-    ks = _need_ks(args.k)
-    print("k,kind,setup_s,ns_per_value,inner_ns,lookup_ns")
-    for k in ks:
+    check_positive(values=args.values, reps=args.reps)
+    # every prototype is built, and timed, before the header is printed
+    protos = []
+    for k in _need_ks(args.k):
         for kind in args.kinds.split(","):
+            shape = dict(c=args.c, m=args.m, d=args.d) if kind == "expander" else {}
             t0 = time.perf_counter()
-            proto = build(GeneratorSpec(kind, field, k, c=args.c, m=args.m, d=args.d,
-                                        graph_seed=args.graph_seed))
-            setup_s = time.perf_counter() - t0
-            seed = seed_from_int(field, proto.descriptor.seed_len, args.graph_seed)
-            make = lambda: proto.fork(seed)
-            period = proto.descriptor.period
-            if kind == "expander":
-                # at most the c*max(m, inner batch) outputs one inner batch feeds
-                g = proto.graph
-                cycle = g.c * max(g.m, getattr(proto.inner, "batch_size", 1))
-                split = bench.measure_expander_split(make, min(args.values, period, cycle),
-                                                     args.reps)
-                cols = f"{split.total_ns:.1f},{split.inner_ns:.1f},{split.lookup_ns:.1f}"
-            else:
-                # whole fft-batch batches, at least one
-                batch = getattr(proto, "batch_size", 1)
-                values = min(max(args.values, batch), period)
-                values -= values % batch
-                cols = f"{bench.measure_ns_per_value(make, values, args.reps):.1f},,"
-            print(f"{k},{kind},{setup_s:.4f},{cols}")
+            proto = build(GeneratorSpec(kind, field, k, **shape, graph_seed=args.graph_seed))
+            protos.append((k, kind, proto, time.perf_counter() - t0))
+    print("k,kind,setup_s,ns_per_value,inner_ns,lookup_ns")
+    for k, kind, proto, setup_s in protos:
+        seed = seed_from_int(field, proto.descriptor.seed_len, args.graph_seed)
+        make = lambda: proto.fork(seed)
+        period = proto.descriptor.period
+        if kind == "expander":
+            # at most the c*max(m, inner batch) outputs one inner batch feeds
+            g = proto.graph
+            cycle = g.c * max(g.m, getattr(proto.inner, "batch_size", 1))
+            split = bench.measure_expander_split(make, min(args.values, period, cycle),
+                                                 args.reps)
+            cols = f"{split.total_ns:.1f},{split.inner_ns:.1f},{split.lookup_ns:.1f}"
+        else:
+            # whole fft-batch batches, at least one
+            batch = getattr(proto, "batch_size", 1)
+            values = min(max(args.values, batch), period)
+            values -= values % batch
+            cols = f"{bench.measure_ns_per_value(make, values, args.reps):.1f},,"
+        print(f"{k},{kind},{setup_s:.4f},{cols}")
     return EXIT_OK
 
 
@@ -152,6 +157,8 @@ def cmd_bench(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.seedlen is not None:
+        check_positive(seedlen=args.seedlen)
     proto = _build(args, args.seedlen)
     n = args.n
     if n is None:

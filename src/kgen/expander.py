@@ -2,8 +2,8 @@
 oracle, the failure-probability bounds that size the graphs, and the
 (c, m, d) parameter search.
 
-A graph is held as one padded (c*m, d) uint32 array, so sampling, stacking
-and validation are array operations.  A generator sums rows with
+A graph is one padded (c*m, d) uint32 array, in and out, so sampling,
+stacking and validation are array operations.  A generator sums rows with
 `row_sums`, which reads the array once per call, a slab of left vertices at
 a time, and gathers from a right table held in the narrowest word its
 reduction fits.  Size guards fire before that array is allocated.
@@ -20,7 +20,7 @@ import math
 import mmap
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -66,10 +66,8 @@ class BipartiteGraph:
     neighbors of left vertex x in increasing order, then the pad index m in
     the slots deduplication left empty.  A right table with a zero appended
     at index m therefore sums every row without masking.  Each row without
-    its pads is exactly the support of the corresponding F_2 matrix row.
-
-    `edges` may also be given as c*m rows of neighbor indices (sorted and
-    duplicate-free); `adjacency` gives them back as int tuples.
+    its pads is exactly the support of the corresponding F_2 matrix row;
+    `adjacency` gives the rows as int tuples.
     """
 
     __slots__ = ("c", "m", "d", "edges")
@@ -79,10 +77,8 @@ class BipartiteGraph:
             raise ConfigError("c, m, d must all be >= 1")
         if m >= 0xFFFFFFFF:
             raise ConfigError(f"right size m={m} does not fit the uint32 layout")
-        if not isinstance(edges, np.ndarray):
-            edges = _pack_rows(edges, m, d)
-        elif edges.dtype != np.uint32:
-            raise ConfigError(f"edges must be a uint32 array, got {edges.dtype}")
+        if not isinstance(edges, np.ndarray) or edges.dtype != np.uint32:
+            raise ConfigError("edges must be a (c*m, d) uint32 array")
         if edges.shape != (c * m, d):
             raise ConfigError("adjacency must list every left vertex")
         if edges.max() > m:
@@ -168,36 +164,14 @@ class BipartiteGraph:
 
     def row_bitsets(self) -> list[int]:
         """Rows of the F_2 adjacency matrix as ints (bit y = edge to y)."""
-        out = []
-        for row in self.adjacency:
-            bits = 0
-            for y in row:
-                bits |= 1 << y
-            out.append(bits)
-        return out
-
-
-def _pack_rows(rows, m: int, d: int) -> np.ndarray:
-    rows = list(rows)
-    edges = np.full((len(rows), d), m, dtype=np.uint32)
-    for x, row in enumerate(rows):
-        if not 1 <= len(row) <= d:
-            raise ConfigError("adjacency rows must have 1..d entries")
-        if min(row) < 0 or max(row) >= m:
-            raise ConfigError("right index out of range")
-        edges[x, :len(row)] = row
-    return edges
-
-
-def _strip(row: list[int], m: int) -> tuple[int, ...]:
-    return tuple(row[:row.index(m)] if row[-1] == m else row)
+        m = self.m
+        return [sum(1 << y for y in row if y != m) for row in self.edges.tolist()]
 
 
 class _Rows(Sequence):
     """Read-only view of a graph's rows as int tuples without the pads."""
 
     __slots__ = ("_edges", "_m")
-    _CHUNK = 4096
 
     def __init__(self, edges: np.ndarray, m: int):
         self._edges = edges
@@ -206,21 +180,9 @@ class _Rows(Sequence):
     def __len__(self):
         return len(self._edges)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(_strip(row, self._m) for row in self._edges[i].tolist())
-        return _strip(self._edges[i].tolist(), self._m)
-
-    def __iter__(self):
-        m = self._m
-        for start in range(0, len(self._edges), self._CHUNK):
-            for row in self._edges[start:start + self._CHUNK].tolist():
-                yield _strip(row, m)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or len(other) != len(self):
-            return False
-        return all(a == b for a, b in zip(self, other))
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        row = self._edges[i].tolist()
+        return tuple(row[:row.index(self._m)] if row[-1] == self._m else row)
 
 
 def _draw_below(rng: random.Random, m: int, out: np.ndarray) -> None:
@@ -342,15 +304,13 @@ def all_small_row_subsets_independent(
 
 @dataclass(frozen=True)
 class BoundResult:
-    """log10 of a failure-probability upper bound plus its per-subset-size
-    breakdown (subset size i -> log10 of that term).
+    """log10 of a failure-probability upper bound.
 
     log10_delta is the raw union-bound value and may exceed 0 (a vacuous
     bound); the linear `delta` view clamps to the trivial probability bound 1.
     """
 
     log10_delta: float
-    per_size_log10: dict[int, float] = dc_field(repr=False, default_factory=dict)
 
     @property
     def delta(self) -> float:
@@ -415,10 +375,7 @@ def rank_failure_bound(c: int, m: int, d: int, k: int) -> BoundResult:
     i = np.arange(1, k + 1, dtype=np.float64)
     log10_binom = (math.lgamma(cm + 1) - _lgamma(i + 1) - _lgamma(cm - i + 1)) / _LN10
     terms = log10_binom + np.minimum(beta_pair(i, d, m), beta_poisson(i, d, m))
-    return BoundResult(
-        log10_delta=_logsumexp10(terms),
-        per_size_log10=dict(zip(range(1, k + 1), terms.tolist())),
-    )
+    return BoundResult(_logsumexp10(terms))
 
 
 def cascade_failure_bound(c: int, m0: int, d: int, k: int, t: int) -> BoundResult:
@@ -483,8 +440,6 @@ class SearchRow:
 
 @dataclass(frozen=True)
 class SearchResult:
-    k: int
-    delta_target: float
     rows: tuple[SearchRow, ...]
     winner: SearchRow | None
 
@@ -518,5 +473,5 @@ def search_parameters(
     rows = tuple(solve(c, d) for c in sorted(c_candidates) for d in sorted(d_candidates))
     feasible = [r for r in rows if r.feasible]
     winner = min(feasible, key=lambda r: (r.predicted_ns, r.c, r.d)) if feasible else None
-    return SearchResult(k=k, delta_target=delta_target, rows=rows, winner=winner)
+    return SearchResult(rows, winner)
 

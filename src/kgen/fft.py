@@ -14,9 +14,8 @@ Two engines:
   never knows how the field multiplies.  For small transforms `top_down`
   runs each level's Taylor expansion and split as one precomputed gather
   and XOR-reduce, whose map depends only on the block size and is built
-  once per process.  `evaluate_vec` is the two passes for one coset; the
-  scalar recursion `evaluate` is their oracle and keeps the operation
-  counts; and
+  once per process.  The scalar recursion `evaluate` is the passes' oracle
+  and keeps the operation counts; and
 * a multiplicative-coset DFT over GF(p) that walks the cosets
   omega^j * <omega_k>, which partition F_p^* exactly.  `evaluate_coset_vec`
   evaluates a whole coset into a uint64 array for every p: a numpy
@@ -33,8 +32,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PeriodExhausted
+from .errors import GuardExceeded, PeriodExhausted
 from .field import FieldError, Gf2w, Gfp
+
+
+# Most bytes a plan's lane tables may take: the graph cap's 512 MiB.
+MAX_LANE_TABLE_BYTES = 1 << 29
 
 
 def _is_pow2(n: int) -> bool:
@@ -64,7 +67,8 @@ class AdditiveFftPlan:
     (as nibble tables of 16*ceil(w/4) words each, 1 MiB at w=64, s=8,
     doubling with each step of s).  The u_d of the shifts 1 << b (s*2 KiB
     per bit as nibble tables at w=64) are added on first use, for the bits
-    the shifts reach.
+    the shifts reach.  A plan whose tables would take more than
+    MAX_LANE_TABLE_BYTES is refused before any level is built.
     """
 
     def __init__(self, field: Gf2w, s: int):
@@ -72,6 +76,12 @@ class AdditiveFftPlan:
             raise FieldError("additive FFT requires a binary field")
         if not 0 <= s <= field.w:
             raise FieldError(f"transform log-size {s} out of range for w={field.w}")
+        need = (2 << s) * field.lane_multiplier_bytes
+        if need > MAX_LANE_TABLE_BYTES:
+            raise GuardExceeded(
+                f"additive FFT of 2^{s} points over GF(2^{field.w}) needs about "
+                f"{need / 2 ** 20:g} MiB of lane tables; the cap is "
+                f"{MAX_LANE_TABLE_BYTES / 2 ** 20:g} MiB")
         self.field = field
         self.s = s
         self.size = 1 << s
@@ -126,15 +136,11 @@ class AdditiveFftPlan:
         c = list(coeffs) + [0] * (self.size - len(coeffs))
         return self._eval(0, c, shift)
 
-    def evaluate_vec(self, coeffs: np.ndarray, shift: int = 0) -> np.ndarray:
-        """evaluate on uint64 lanes; bit-identical to the scalar recursion:
-        one `top_down` pass of the coefficients, one `bottom_up` pass at
-        the shift."""
-        return self.bottom_up(self.top_down(coeffs), [shift])[0]
-
     def top_down(self, coeffs: np.ndarray) -> np.ndarray:
-        """The shift-independent half of evaluate_vec, a fixed linear map of
-        the coefficients: its result serves every shift of `bottom_up`.
+        """The shift-independent half of `evaluate` on uint64 lanes, a fixed
+        linear map of the coefficients: its result serves every shift of
+        `bottom_up`, and `bottom_up(top_down(c), [shift])[0]` is
+        `evaluate(c, shift)` bit for bit.
 
         At depth d all 2^d sub-problems share the level's twists, so the
         recursion runs over the (2^d, n/2^d) view of one array: twist,
@@ -174,7 +180,7 @@ class AdditiveFftPlan:
         return x
 
     def bottom_up(self, x: np.ndarray, shifts: Sequence[int]) -> np.ndarray:
-        """The shift-dependent half of evaluate_vec, for B shifts at once:
+        """The shift-dependent half of `evaluate` on lanes, for B shifts at once:
         `x` is one `top_down` result; returns the (B, 2^s) evaluations, row
         b on the subspace shifted by shifts[b].
 

@@ -276,10 +276,6 @@ class Gf2w:
             return exp[(self._log_table[a] + self._log_table[b]) % self.mult_order]
         return self.reduce(clmul_wide(a, b))
 
-    def mul_portable(self, a: int, b: int) -> int:
-        """Shift-and-XOR route; used as the cross-check for the fast path."""
-        return self.reduce(clmul_portable(a, b))
-
     def horner(self, coeffs, xs) -> list[int]:
         """sum_i coeffs[i] x^i at each x in xs (constant term first), by
         Horner's rule through `mul`; operands canonical."""
@@ -343,6 +339,11 @@ class Gf2w:
         if not t.any():  # the tables of 0 are zeros; keeps a plan's shift-0 row cheap
             return np.zeros(t.shape + tail, dtype=np.uint64)
         return self.nibble_tables(t.reshape(-1)).reshape(t.shape + tail)
+
+    @property
+    def lane_multiplier_bytes(self) -> int:
+        """Bytes of one multiplier in the lane form `lane_multipliers` gives."""
+        return 8 if self._log_vec is not None else 8 * 16 * ((self.w + 3) // 4)
 
     def nibble_tables(self, consts) -> np.ndarray:
         """Tables of the F_2-linear maps a -> t*a, one per multiplier t in
@@ -432,11 +433,6 @@ class Gf2w:
     def to_bytes(self, a: int) -> bytes:
         return a.to_bytes(self.elem_bytes, "little")
 
-    def from_bytes(self, data: bytes) -> int:
-        a = int.from_bytes(data, "little")
-        self.validate(a)
-        return a
-
 
 # --------------------------------------------------------------------------
 # GF(p)
@@ -513,11 +509,6 @@ class Gfp:
 
     def to_bytes(self, a: int) -> bytes:
         return a.to_bytes(self.elem_bytes, "little")
-
-    def from_bytes(self, data: bytes) -> int:
-        a = int.from_bytes(data, "little")
-        self.validate(a)
-        return a
 
 
 def find_primitive_element(ctx: Gfp) -> int:

@@ -364,10 +364,10 @@ def _make_inner(field, kind: str, k_needed: int, rng: random.Random, seed=None):
     return make(field, k_inner, seed)
 
 
-def _check_shape(**shape):
-    """Refuse a shape parameter below 1, naming its option, before anything
-    is sampled or allocated."""
-    for name, value in shape.items():
+def check_positive(**options):
+    """Refuse an option below 1, naming it, before anything is sampled or
+    allocated."""
+    for name, value in options.items():
         if value < 1:
             raise ConfigError(f"need {name} >= 1, got --{name}={value}")
 
@@ -385,7 +385,7 @@ def build_expander_generator(
 ) -> ExpanderGenerator:
     """Sample (or accept) a (c, m, d) graph, compute its failure bound, and
     compose it with an inner generator of the requested kind."""
-    _check_shape(k=k, c=c, m=m, d=d)
+    check_positive(k=k, c=c, m=m, d=d)
     rng = rng or random.Random(0)
     if graph is None:
         graph = sample_graph(c, m, d, rng)
@@ -417,7 +417,7 @@ def build_cascade_generator(
     base_period = _poly_period(field, base_kind)
     if m0 is None:
         m0 = base_period
-    _check_shape(k=k, c=c, m=m0, d=d, t=t)
+    check_positive(k=k, c=c, m=m0, d=d, t=t)
     check_graph_size(sum(c ** i * m0 * d for i in range(1, t + 1)), "cascade")
     base = _make_inner(field, base_kind, min(d ** t * k, base_period), rng)
     graphs = [sample_graph(c, c ** (i - 1) * m0, d, rng) for i in range(1, t + 1)]
@@ -428,8 +428,9 @@ def build_cascade_generator(
 class GeneratorSpec:
     """Everything that fixes a generator except its seed.  An expander needs
     c, m, d; a cascade needs c, d, t, and takes m as its first right size
-    (the whole inner period when None).  `inner` is the polynomial kind
-    under either, and their graphs come from spawn_rng(graph_seed, "graph")."""
+    (the whole inner period when None); horner and fft-batch take none of
+    the four.  `inner` is the polynomial kind under either sampled kind,
+    and their graphs come from spawn_rng(graph_seed, "graph")."""
 
     kind: str
     field: object
@@ -442,22 +443,25 @@ class GeneratorSpec:
     graph_seed: int = 0
 
 
-_SPEC_NEEDS = {"horner": (), "fft-batch": (), "expander": ("c", "m", "d"),
-               "cascade": ("c", "d", "t")}
+# the shape options each kind takes; all are required but a cascade's m
+_SPEC_TAKES = {"horner": "", "fft-batch": "", "expander": "cmd", "cascade": "cmdt"}
 
 
 def build(spec: GeneratorSpec):
     """The prototype generator of `spec`: every stream of the spec is
     `build(spec).fork(seed)` with `descriptor.seed_len` elements.  The
     prototype's own seed (zeros, or the builder's draw under a graph) is
-    not meant to be emitted.  A missing shape parameter, or an m that does
-    not divide the inner period, raises `ConfigError` before any graph is
-    sampled."""
-    needs = _SPEC_NEEDS.get(spec.kind)
-    if needs is None:
+    not meant to be emitted.  A missing shape parameter, one the kind does
+    not take, or an m that does not divide the inner period, raises
+    `ConfigError` before any graph is sampled."""
+    takes = _SPEC_TAKES.get(spec.kind)
+    if takes is None:
         raise ConfigError(f"unknown generator kind {spec.kind!r}")
-    for name in needs:
-        if getattr(spec, name) is None:
+    for name in "cmdt":
+        given = getattr(spec, name) is not None
+        if given and name not in takes:
+            raise ConfigError(f"{spec.kind} kind takes no --{name}")
+        if not given and name in takes and (spec.kind, name) != ("cascade", "m"):
             raise ConfigError(f"{spec.kind} kind needs --{name}")
     field, k = spec.field, spec.k
     if spec.kind == "horner":
@@ -466,7 +470,7 @@ def build(spec: GeneratorSpec):
         return FftBatchGenerator(field, k, (0,) * k)
     period = _poly_period(field, spec.inner)
     if spec.m is not None:
-        _check_shape(m=spec.m)
+        check_positive(m=spec.m)
         if period % spec.m:
             raise ConfigError(f"--m={spec.m} must divide the {spec.inner} period {period}")
     rng = spawn_rng(spec.graph_seed, "graph")

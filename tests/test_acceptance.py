@@ -103,9 +103,9 @@ def test_acceptance_02_expander_composition():
 
     # (b) a deliberately duplicated-row graph exact-fails
     g = sample_graph(4, 64, 4, rng)
-    rows = list(g.adjacency)
-    rows[17] = rows[3]
-    bad = BipartiteGraph(4, 64, 4, tuple(rows))
+    edges = g.edges.copy()
+    edges[17] = edges[3]
+    bad = BipartiteGraph(4, 64, 4, edges)
     assert not exact_first_block_pair_verdict(bad)
     assert not all_small_row_subsets_independent(bad, 2)
 
@@ -127,9 +127,9 @@ def test_acceptance_02_expander_composition():
         assert r.verdict == "exact-pass"
         assert exact_first_block_pair_verdict(g)
         validated += 1
-    gbad_rows = list(sample_graph(2, 16, 2, enum_rng).adjacency)
-    gbad_rows[1] = gbad_rows[0]  # the first examined position pair
-    gbad = BipartiteGraph(2, 16, 2, tuple(gbad_rows))
+    gbad_edges = sample_graph(2, 16, 2, enum_rng).edges.copy()
+    gbad_edges[1] = gbad_edges[0]  # the first examined position pair
+    gbad = BipartiteGraph(2, 16, 2, gbad_edges)
     genb = build_expander_generator(f16, 2, 2, 16, 2, inner_kind="horner",
                                     rng=random.Random(9), graph=gbad)
     r = exhaustive_independence_check(

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from itertools import combinations, islice, product
 
+import numpy as np
 import pytest
 
 from kgen import analysis
@@ -160,9 +161,9 @@ def expander_check_args(duplicate_row: bool):
     f = Gf2w(4)
     g = sampled_passing_graph(2, 4, 2, 2)
     if duplicate_row:
-        rows = list(g.adjacency)
-        rows[1] = rows[0]
-        g = BipartiteGraph(2, 4, 2, tuple(rows))
+        edges = g.edges.copy()
+        edges[1] = edges[0]
+        g = BipartiteGraph(2, 4, 2, edges)
     gen = build_expander_generator(f, 2, 2, 4, 2, inner_kind="horner",
                                    rng=random.Random(1), graph=g)
     return (gen.fork, f, gen.descriptor.seed_len, 2, 8), g
@@ -365,11 +366,11 @@ def test_report_line_format():
 def _tiny_prototype(field, kind):
     """A small prototype of `kind` over `field`: independence 2 where the
     kind and field allow it, else 1; graphs of degree 2 over horner."""
+    shape = {"expander": dict(c=2, m=field.order, d=2),
+             "cascade": dict(c=2, d=2, t=1)}.get(kind, {})
     for k in (2, 1):
         try:
-            return build(GeneratorSpec(kind, field, k, c=2, d=2, t=1,
-                                       m=field.order if kind == "expander" else None,
-                                       inner="horner"))
+            return build(GeneratorSpec(kind, field, k, **shape, inner="horner"))
         except ConfigError:
             continue
     raise AssertionError(f"no {kind} prototype over {field}")
@@ -403,7 +404,7 @@ def test_rank_check_equals_enumeration_on_duplicated_row():
 
 def test_rank_check_field_correct_where_parity_is_not():
     # rows {0,1}, {1,2}, {0,2} are dependent over F_2 but independent over GF(5)
-    g = BipartiteGraph(1, 5, 2, ((0, 1), (1, 2), (0, 2), (3, 4), (0, 4)))
+    g = BipartiteGraph(1, 5, 2, np.array([[0, 1], [1, 2], [0, 2], [3, 4], [0, 4]], np.uint32))
     assert not all_small_row_subsets_independent(g, 3)
     f = Gfp(5)
     gen = build_expander_generator(f, 3, 1, 5, 2, inner_kind="horner",

@@ -445,16 +445,58 @@ _BAD_INPUT = {
     "bench-c-0": _BENCH + ["--kinds", "expander", "--c", "0"],
     "bench-m-0": _BENCH + ["--kinds", "expander", "--m", "0"],
     "bench-d-0": _BENCH + ["--kinds", "expander", "--d", "0"],
+    # the kinds measured before a refused one print no rows
+    "bench-kinds-c-0": _BENCH + ["--kinds", "horner,fft-batch,expander", "--c", "0"],
+    "bench-kinds-unknown": _BENCH + ["--kinds", "horner,nosuch"],
+    "search-k-0-after-32": ["search", "--k", "32,0", "--delta", "1e-7"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUT))
 def test_bad_input_exits_config(case, capsys):
     # invalid input is a configuration error (exit 2): not a traceback, not
-    # values, and not the exit 1 that verify keeps for a fail verdict
-    code, _, err = run_cli(_BAD_INPUT[case], capsys)
+    # values, not a CSV header, and not the exit 1 that verify keeps for a
+    # fail verdict
+    code, out, err = run_cli(_BAD_INPUT[case], capsys)
     assert code == 2
     assert any(line.startswith("error:") for line in err.splitlines()), err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["gen", "--field", "gfp:257", "--kind", "horner", "--k", "4", "--c", "4", "--t", "9",
+      "--entropy", "--count", "1"], "c"),
+    (["gen", "--field", "gfp:257", "--kind", "fft-batch", "--k", "4", "--m", "16",
+      "--entropy", "--count", "1"], "m"),
+    (["verify", "--field", "gfp:5", "--kind", "horner", "--k", "3", "--d", "2"], "d"),
+    (_EXPANDER + ["--t", "2"], "t"),
+])
+def test_shape_option_a_kind_ignores_is_refused(argv, name, capsys, monkeypatch):
+    # an option the kind would drop is refused by name before any sampling
+    import kgen.generator
+
+    def no_sampling(*args):
+        raise AssertionError("graph sampled before the shape check")
+
+    monkeypatch.setattr(kgen.generator, "sample_graph", no_sampling)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"kind takes no --{name}" in err
+
+
+def test_additive_fft_lane_table_guard(capsys, monkeypatch):
+    # 2^18 points over GF(2^64) would take 1 GiB of lane tables; refused
+    # (exit 3) before any level is built
+    from kgen.field import Gf2w
+
+    def no_levels(*args):
+        raise AssertionError("field arithmetic ran before the lane-table guard")
+
+    monkeypatch.setattr(Gf2w, "inv", no_levels)
+    code, out, err = run_cli(["gen", "--field", "gf2w:64", "--kind", "fft-batch",
+                              "--k", "262144", "--entropy", "--count", "1"], capsys)
+    assert code == 3 and out == ""
+    assert "1024 MiB of lane tables; the cap is 512 MiB" in err
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -462,9 +504,11 @@ def test_bad_input_exits_config(case, capsys):
     (_EXPANDER + ["--m", "0"], "m"),
     (_CASCADE + ["--t", "1", "--d", "0"], "d"),
     (_CASCADE + ["--t", "0"], "t"),
+    (_BAD_INPUT["verify-seedlen-0"], "seedlen"),
 ])
 def test_graph_shape_refused_before_sampling(argv, name, capsys, monkeypatch):
-    # a shape parameter below 1 is refused by name before any graph is drawn
+    # a shape parameter (or --seedlen) below 1 is refused by name before any
+    # graph is drawn
     import kgen.generator
 
     def no_sampling(*args):

@@ -101,6 +101,12 @@ def test_sample_graph_neighbor_uniformity():
         assert abs(c - expected) <= 3.5 * sigma
 
 
+def padded(rows, m, d):
+    """The (len(rows), d) uint32 array of rows of neighbor indices, each
+    padded with the pad index m."""
+    return np.array([row + (m,) * (d - len(row)) for row in rows], dtype=np.uint32)
+
+
 def tuple_sampler(c, m, d, rng):
     """The row-tuple sampler the array sampler replaced: d draws per row."""
     return tuple(tuple(sorted({rng.randrange(m) for _ in range(d)}))
@@ -111,10 +117,10 @@ def _assert_tuple_samplers_draws(c, m, d):
     rng, ref = random.Random(c * m * d), random.Random(c * m * d)
     g = sample_graph(c, m, d, rng)
     rows = tuple_sampler(c, m, d, ref)
-    assert g.adjacency == rows
+    assert len(g.adjacency) == len(rows)
     assert tuple(g.adjacency) == rows
-    assert g.adjacency[len(rows) - 1] == rows[-1]
-    assert g == BipartiteGraph(c, m, d, rows)
+    assert g.adjacency[len(rows) - 1] == g.adjacency[-1] == rows[-1]
+    assert g == BipartiteGraph(c, m, d, padded(rows, m, d))
     # what the caller draws next (an inner seed, the next level) is the same
     assert rng.getstate() == ref.getstate()
 
@@ -170,14 +176,17 @@ def test_sampled_graph_is_mmap_backed_and_shared_by_forks():
 
 
 def test_graph_array_layout():
-    g = BipartiteGraph(1, 3, 3, ((0, 2), (1,), (0, 1, 2)))
+    rows = ((0, 2), (1,), (0, 1, 2))
+    g = BipartiteGraph(1, 3, 3, padded(rows, 3, 3))
     assert g.edges.dtype == np.uint32
     assert g.edges.tolist() == [[0, 2, 3], [1, 3, 3], [0, 1, 2]]  # pad index m = 3
     assert not g.edges.flags.writeable
-    assert g.adjacency[0:2] == ((0, 2), (1,))
+    assert tuple(g.adjacency) == rows
     assert BipartiteGraph(1, 3, 3, g.edges.copy()) == g
     with pytest.raises(ValueError):
         BipartiteGraph(1, 3, 3, g.edges.astype(np.int64))
+    with pytest.raises(ValueError):  # a graph is an array, not rows of tuples
+        BipartiteGraph(1, 3, 3, rows)
     with pytest.raises(ValueError):  # empty row
         BipartiteGraph(1, 3, 3, np.array([[3, 3, 3], [1, 3, 3], [0, 1, 2]], np.uint32))
     with pytest.raises(ValueError):  # pad mid-row
@@ -195,12 +204,12 @@ def test_graph_size_guards():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, 1, ((0,),))  # missing rows
-    with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, 1, ((0,), (2,)))  # index out of range
-    with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, 2, ((0, 0), (1,)))  # duplicates
+    with pytest.raises(ValueError, match="every left vertex"):
+        BipartiteGraph(1, 2, 1, padded(((0,),), 2, 1))  # missing rows
+    with pytest.raises(ValueError, match="out of range"):
+        BipartiteGraph(1, 2, 1, padded(((0,), (3,)), 2, 1))  # beyond the pad index 2
+    with pytest.raises(ValueError, match="duplicate-free"):
+        BipartiteGraph(1, 2, 2, padded(((0, 0), (1,)), 2, 2))
 
 
 # -- gather ----------------------------------------------------------------------
@@ -249,7 +258,8 @@ def test_row_sums_matches_adjacency_sums(monkeypatch, spec, rows):
 
 
 def test_row_sums_rejects_values_of_the_wrong_length():
-    g = BipartiteGraph(2, 4, 2, ((0, 1), (1,), (2, 3), (0,), (3,), (1, 2), (0, 3), (2,)))
+    g = BipartiteGraph(2, 4, 2, padded(((0, 1), (1,), (2, 3), (0,), (3,), (1, 2), (0, 3), (2,)),
+                                       4, 2))
     for values in ([5], [1, 2, 3], [1, 2, 3, 4, 5]):
         with pytest.raises(ValueError, match="4 right values"):
             g.row_sums(Gfp(13), values)
@@ -257,15 +267,15 @@ def test_row_sums_rejects_values_of_the_wrong_length():
 
 
 def test_stack_examples():
-    edge = BipartiteGraph(1, 1, 1, ((0,),))
+    edge = BipartiteGraph(1, 1, 1, padded(((0,),), 1, 1))
     st2 = stack(edge, 2)
-    assert st2.adjacency == ((0,), (1,))
+    assert tuple(st2.adjacency) == ((0,), (1,))
     g = sample_graph(2, 3, 2, random.Random(1))
     assert stack(g, 1) is g
     # a deduplicated row keeps its pads at the stacked graph's pad index
-    short = BipartiteGraph(1, 2, 2, ((1,), (0, 1)))
+    short = BipartiteGraph(1, 2, 2, padded(((1,), (0, 1)), 2, 2))
     st = stack(short, 2)
-    assert st.adjacency == ((1,), (0, 1), (3,), (2, 3))
+    assert tuple(st.adjacency) == ((1,), (0, 1), (3,), (2, 3))
     assert st.edges.tolist() == [[1, 4], [0, 1], [3, 4], [2, 3]]
 
 
@@ -287,9 +297,9 @@ def test_stack_preserves_both_properties():
 # -- row-subset independence oracle --------------------------------------------
 
 def test_row_subsets_trivia():
-    ident = BipartiteGraph(1, 4, 1, ((0,), (1,), (2,), (3,)))
+    ident = BipartiteGraph(1, 4, 1, padded(((0,), (1,), (2,), (3,)), 4, 1))
     assert all_small_row_subsets_independent(ident, 4)
-    dup = BipartiteGraph(1, 2, 2, ((0, 1), (0, 1)))
+    dup = BipartiteGraph(1, 2, 2, padded(((0, 1), (0, 1)), 2, 2))
     assert not all_small_row_subsets_independent(dup, 2)
     assert all_small_row_subsets_independent(dup, 1)
 
@@ -309,9 +319,9 @@ def test_row_subsets_sampled_path():
     g = sample_graph(4, 256, 4, rng)
     with pytest.raises(GuardExceeded):
         all_small_row_subsets_independent(g, 8, max_enum=10_000)
-    rows = list(g.adjacency)
-    rows[10] = rows[3]
-    bad = BipartiteGraph(4, 256, 4, tuple(rows))
+    edges = g.edges.copy()
+    edges[10] = edges[3]
+    bad = BipartiteGraph(4, 256, 4, edges)
     # duplicated row: 0 in XOR of the pair; the exact pair path catches it at
     # any size
     assert not all_small_row_subsets_independent(bad, 2)
@@ -386,13 +396,20 @@ def test_rank_failure_bound_k1():
 
 
 def test_rank_failure_bound_uses_min_of_betas():
-    r = rank_failure_bound(4, 64, 4, 16)
-    cm = 4 * 64
-    for i, term in r.per_size_log10.items():
+    # log10_delta is the log-sum over subset sizes i of C(cm, i) times the
+    # smaller beta; here each beta is the smaller at some size
+    c, m, d, k = 4, 64, 4, 16
+    cm = c * m
+    terms, pair_wins = [], set()
+    for i in range(1, k + 1):
         lb = (math.lgamma(cm + 1) - math.lgamma(i + 1)
               - math.lgamma(cm - i + 1)) / math.log(10)
-        assert term <= lb + beta_pair(i, 4, 64) + 1e-9
-        assert term <= lb + beta_poisson(i, 4, 64) + 1e-9
+        pair, poisson = beta_pair(i, d, m), beta_poisson(i, d, m)
+        terms.append(lb + min(pair, poisson))
+        pair_wins.add(pair < poisson)
+    assert pair_wins == {True, False}
+    want = math.log10(sum(10 ** t for t in terms))
+    assert math.isclose(rank_failure_bound(c, m, d, k).log10_delta, want, rel_tol=1e-12)
 
 
 def test_one_level_cascade_bound_is_rank_failure_bound():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kgen import fft
-from kgen.errors import PeriodExhausted
+from kgen.errors import GuardExceeded, PeriodExhausted
 from kgen.field import FieldError, Gf2w, Gfp, find_primitive_element
 from kgen.fft import AdditiveFftPlan, CosetDftPlan
 from kgen.poly import Polynomial, horner_eval, naive_multipoint, random_polynomial
@@ -58,7 +58,7 @@ def test_additive_fft_vec_matches_scalar_and_naive(w):
         top = f.mask ^ ((1 << s) - 1)  # the last coset of the subspace
         for shift in sorted({0, 1, 1 << s if s < w else 0, top}):
             h = random_polynomial(f, rng.randrange(1, (1 << s) + 1), rng)
-            got = plan.evaluate_vec(np.array(h.coeffs, dtype=np.uint64), shift)
+            got = plan.bottom_up(plan.top_down(np.array(h.coeffs, dtype=np.uint64)), [shift])[0]
             assert got.dtype == np.uint64 and got.shape == (1 << s,)
             want = plan.evaluate(h.coeffs, shift)
             assert got.tolist() == want, (w, s, shift)
@@ -78,7 +78,7 @@ def test_additive_fft_top_down_both_paths_match_scalar(w, monkeypatch):
         coeffs = np.array(h.coeffs, dtype=np.uint64)
         shift = f.random_element(rng)
         top = plan.top_down(coeffs)
-        assert plan.evaluate_vec(coeffs, shift).tolist() == plan.evaluate(h.coeffs, shift), (w, s)
+        assert plan.bottom_up(top, [shift])[0].tolist() == plan.evaluate(h.coeffs, shift), (w, s)
         if plan.size <= fft._FUSED_MAX_SIZE:
             with monkeypatch.context() as m:
                 m.setattr(fft, "_FUSED_MAX_SIZE", 0)  # the slice steps
@@ -106,12 +106,28 @@ def test_additive_fft_bottom_up_many_shifts(w):
         coeffs = np.array(h.coeffs, dtype=np.uint64)
         gray = _gray_shifts(w, s)
         shifts = gray + [repeat, f.random_element(rng), f.mask, 0, repeat]
-        got = plan.bottom_up(plan.top_down(coeffs), shifts)
+        top = plan.top_down(coeffs)
+        got = plan.bottom_up(top, shifts)
         assert got.dtype == np.uint64 and got.shape == (len(shifts), 1 << s)
         for row, shift in zip(got.tolist(), shifts):
-            assert row == plan.evaluate_vec(coeffs, shift).tolist(), (w, s, shift)
+            assert row == plan.bottom_up(top, [shift])[0].tolist(), (w, s, shift)
         for i in (0, len(gray) - 1):
             assert got[i].tolist() == naive_multipoint(h, plan.points(shifts[i])), (w, s)
+
+
+def test_lane_table_guard_fires_before_any_level(monkeypatch):
+    # a plan's lane tables take about 2^(s+1) multipliers in lane form: at
+    # w=64, s=7 that is 512 KiB, and a plan above the cap is refused
+    # before any level is built
+    f = Gf2w(64)
+    assert f.lane_multiplier_bytes == 16 * 16 * 8 and Gf2w(16).lane_multiplier_bytes == 8
+    monkeypatch.setattr(fft, "MAX_LANE_TABLE_BYTES", 1 << 19)
+    with monkeypatch.context() as m:
+        m.setattr(f, "inv", lambda a: pytest.fail("a level was built"))
+        with pytest.raises(GuardExceeded, match="about 1 MiB of lane tables; the cap is 0.5 MiB"):
+            AdditiveFftPlan(f, 8)
+    plan = AdditiveFftPlan(f, 7)  # exactly at the cap
+    assert plan._lanes[1][0].base.nbytes <= 1 << 19
 
 
 def test_additive_fft_vec_tables_and_rejections():
@@ -123,12 +139,10 @@ def test_additive_fft_vec_tables_and_rejections():
     assert all(t.base is base for t in combos + twists if t is not None)
     assert base.nbytes <= 2 << 20
     with pytest.raises(FieldError):
-        plan.evaluate_vec(np.zeros(257, dtype=np.uint64))
-    with pytest.raises(FieldError):
-        plan.evaluate_vec(np.zeros(4, dtype=np.uint64), 1 << 64)
+        plan.top_down(np.zeros(257, dtype=np.uint64))
     # bottom_up rejects a shift outside the field before it adds per-bit rows
     top = plan.top_down(np.zeros(4, dtype=np.uint64))
-    for shifts in ([0, 1 << 64], [-1, 0], [1 << 70]):
+    for shifts in ([1 << 64], [0, 1 << 64], [-1, 0], [1 << 70]):
         with pytest.raises(FieldError):
             plan.bottom_up(top, shifts)
     assert plan._units.shape[0] == 1

@@ -144,7 +144,7 @@ def test_gf2w64_random_vs_oracle():
         a, b = rng.getrandbits(64), rng.getrandbits(64)
         got = f.mul(a, b)
         assert got == longdiv_mod(schoolbook_clmul(a, b), f.g)
-        assert got == f.mul_portable(a, b)
+        assert got == f.reduce(clmul_portable(a, b))
 
 
 def test_gf2w_reduce_matches_longdiv_on_products():
@@ -200,7 +200,7 @@ def test_log_tables_are_generator_powers(w):
     exp, log = f._exp_table, f._log_table
     assert len(exp) == f.mult_order and sorted(exp) == list(range(1, f.order))
     assert exp[1] != 1 and exp[0] == 1
-    assert all(exp[i] == f.mul_portable(exp[i - 1], exp[1]) for i in range(1, len(exp)))
+    assert all(exp[i] == f.reduce(clmul_portable(exp[i - 1], exp[1])) for i in range(1, len(exp)))
     assert all(exp[log[a]] == a for a in range(1, f.order))
 
 
@@ -211,7 +211,8 @@ def test_lane_products_match_scalar_mul(w):
     consts = [0, 1, f.mask] + [f.random_element(rng) for _ in range(13)]
     a = np.array([[f.random_element(rng) for _ in consts] for _ in range(5)] + [[0] * 16],
                  dtype=np.uint64)
-    want = [[f.mul_portable(int(x), t) for x, t in zip(row, consts)] for row in a.tolist()]
+    want = [[f.reduce(clmul_portable(int(x), t)) for x, t in zip(row, consts)]
+            for row in a.tolist()]
     # the field's lane form: elements (2 <= w <= 16) or nibble tables
     mults = f.lane_multipliers(consts)
     assert f.mul_lanes(mults, a).tolist() == want
@@ -271,7 +272,7 @@ def test_gf2w_serialization_roundtrip():
             a = f.random_element(rng)
             data = f.to_bytes(a)
             assert len(data) == f.elem_bytes
-            assert f.from_bytes(data) == a
+            assert int.from_bytes(data, "little") == a
 
 
 def test_gf2w_validate():

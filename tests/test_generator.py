@@ -253,7 +253,7 @@ def test_fft_batch_fork_shares_plan_data(spec, k):
                                     ("gf2w:64", 3)])
 def test_fft_batch_multi_batch_fill_spans(spec, k, monkeypatch):
     # fills that start and end mid-batch, and fills whose batches cross the
-    # lane cap, equal per-batch evaluate_vec and naive multipoint evaluation
+    # lane cap, equal per-batch bottom-up passes and naive multipoint evaluation
     f = parse_field_spec(spec)
     rng = random.Random(k)
     seed = [f.random_element(rng) for _ in range(k)]
@@ -281,7 +281,8 @@ def test_fft_batch_multi_batch_fill_spans(spec, k, monkeypatch):
     assert calls == want_calls
     batches = sum(calls)
     coeffs = np.array(seed, dtype=np.uint64)
-    want = [gen._plan.evaluate_vec(coeffs, gen._gray_shift(j)).tolist() for j in range(batches)]
+    top = gen._plan.top_down(coeffs)
+    want = [bottom_up(top, [gen._gray_shift(j)])[0].tolist() for j in range(batches)]
     assert got == [v for batch in want for v in batch][:len(got)]
     h = Polynomial(f, tuple(seed))
     for j in (0, batches - 1):
@@ -338,7 +339,7 @@ def test_emit_vs_emit_batch_interleaving(seed_int):
 
 def test_expander_identity_graph_is_passthrough():
     f = Gf2w(4)
-    ident = BipartiteGraph(1, 16, 1, tuple((i,) for i in range(16)))
+    ident = BipartiteGraph(1, 16, 1, np.arange(16, dtype=np.uint32).reshape(16, 1))
     rng = random.Random(3)
     seed = [f.random_element(rng) for _ in range(4)]
     inner = HornerGenerator(f, 4, seed)
@@ -396,7 +397,7 @@ def test_expander_m_must_divide_inner_period():
 
 def test_expander_inner_independence_requirement():
     f = Gf2w(4)
-    ident = BipartiteGraph(1, 16, 1, tuple((i,) for i in range(16)))
+    ident = BipartiteGraph(1, 16, 1, np.arange(16, dtype=np.uint32).reshape(16, 1))
     weak = HornerGenerator(f, 1, [7])
     from kgen.generator import ExpanderGenerator
     with pytest.raises(ConfigError):
@@ -622,8 +623,11 @@ def test_expander_block_gather_matches_row_sums(spec):
 def test_gfp_row_sums_at_the_top_of_the_range():
     for p in (2013265921, 9223372036853661697):
         f = Gfp(p)
-        g = BipartiteGraph(2, 4, 4, ((0, 1, 2, 3), (3,), (1, 2), (0, 1, 2), (2,),
-                                     (0, 3), (1, 2, 3), (0,)))
+        # rows (0, 1, 2, 3), (3,), (1, 2), (0, 1, 2), (2,), (0, 3), (1, 2, 3),
+        # (0,), padded with the pad index 4
+        g = BipartiteGraph(2, 4, 4, np.array(
+            [[0, 1, 2, 3], [3, 4, 4, 4], [1, 2, 4, 4], [0, 1, 2, 4], [2, 4, 4, 4],
+             [0, 3, 4, 4], [1, 2, 3, 4], [0, 4, 4, 4]], np.uint32))
         values = [p - 1, p - 2, p - 3, p - 4]
         want = []
         for row in g.adjacency:
