@@ -5,8 +5,9 @@ oracle, the failure-probability bounds that size the graphs, and the
 A graph is one padded (c*m, d) uint32 array, in and out, so sampling,
 stacking and validation are array operations.  A generator sums rows with
 `row_sums`, which reads the array once per call, a slab of left vertices at
-a time, and gathers from a right table held in the narrowest word its
-reduction fits.  Size guards fire before that array is allocated.
+a time: each neighbor column of a slab indexes a right table, held in the
+narrowest word its reduction fits, straight from the array.  Size guards
+fire before that array is allocated.
 
 All bound arithmetic runs in log10 space with log-gamma factorials: the
 interesting failure probabilities reach 1e-46, far below what direct floats
@@ -41,8 +42,8 @@ SUBSET_ENUM_BUDGET = 2_000_000
 # Largest c*m*d a graph may hold: 512 MiB of uint32 adjacency slots.
 MAX_GRAPH_ENTRIES = 1 << 27
 
-# Left vertices `row_sums` gathers per slab: at d=8 the slab's intp index
-# buffer is 1 MiB and its two accumulators 128-256 KiB, small beside the graph.
+# Left vertices `row_sums` gathers per slab: its two accumulators take
+# 128-256 KiB, and numpy's intp copy of one neighbor column 128 KiB, at any d.
 _GATHER_ROWS = 1 << 14
 
 # Most 32-bit words one `_draw_below` round asks the rng for (256 KiB).
@@ -119,11 +120,11 @@ class BipartiteGraph:
         table with a zero at the pad index, held in the narrowest word the
         reduction fits: uint32 over GF(2^w) with w <= 32 and over GF(p) with
         p < 2^31 (a sum of two residues stays below 2^32), else uint64.
-        The left vertices are gathered in slabs of `_GATHER_ROWS`: each slab
-        of the row-major edges is read once into a (d, rows) index buffer,
-        then each of its d index rows gathers from the table and is reduced
-        in place, by XOR in characteristic 2, else by an addition and
-        min(s, s - p).  The result is one uint64 array of c*m sums.
+        The left vertices are gathered in slabs of `_GATHER_ROWS`: each of a
+        slab's d neighbor columns indexes the table straight from the edges
+        and is reduced in place, by XOR in characteristic 2, else by an
+        addition and min(s, s - p).  The result is one uint64 array of c*m
+        sums.
         """
         m, d, n = self.m, self.d, self.n_left
         if len(values) != m:
@@ -135,24 +136,19 @@ class BipartiteGraph:
         table[:-1] = values
         table[-1] = 0
         p = word(field.p) if not char2 else None
-        # the result first: allocated after the slab buffers, it would pin
-        # their freed space below it on the heap (+1.5 MiB peak RSS at c=16,
-        # m=8192, d=8)
         out = np.empty(n, dtype=np.uint64)
         rows = min(_GATHER_ROWS, n)
-        idx = np.empty((d, rows), dtype=np.intp)
         acc = np.empty(rows, dtype=word)
         tmp = np.empty(rows, dtype=word)
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            span = stop - start
-            ix, a, t = idx[:, :span], acc[:span], tmp[:span]
-            ix[...] = self.edges[start:stop].T
+            slab = self.edges[start:stop]
+            a, t = acc[:stop - start], tmp[:stop - start]
             # indices were range-checked at construction, so "clip" never
             # clips; unlike "raise", it lets take write `out=` unbuffered
-            table.take(ix[0], out=a, mode="clip")
+            table.take(slab[:, 0], out=a, mode="clip")
             for j in range(1, d):
-                table.take(ix[j], out=t, mode="clip")
+                table.take(slab[:, j], out=t, mode="clip")
                 if char2:
                     a ^= t
                 else:

@@ -1,6 +1,7 @@
 import math
 import mmap
 import random
+import tracemalloc
 from itertools import combinations, product
 from types import SimpleNamespace
 
@@ -255,6 +256,25 @@ def test_row_sums_matches_adjacency_sums(monkeypatch, spec, rows):
         got = g.row_sums(field, values)
         assert got.dtype == np.uint64
         assert got.tolist() == _row_sums_oracle(field, g, values)
+
+
+def _row_sums_peak(field, d):
+    """tracemalloc peak of one warm row_sums call on a (16, 8192, d) graph."""
+    g = sample_graph(16, 8192, d, random.Random(d))
+    values = np.arange(8192, dtype=np.uint64)
+    g.row_sums(field, values)
+    tracemalloc.start()
+    try:
+        g.row_sums(field, values)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", ["gfp:2013265921", "gf2w:64"])  # uint32, uint64 tables
+def test_row_sums_transient_memory_does_not_grow_with_d(spec):
+    field = _GATHER_FIELDS[spec]
+    assert abs(_row_sums_peak(field, 16) - _row_sums_peak(field, 4)) < 64 << 10
 
 
 def test_row_sums_rejects_values_of_the_wrong_length():

@@ -88,9 +88,12 @@ def test_random_polynomial_coefficient_uniformity():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_exact_independence_by_full_family_enumeration(field, k):
     """Every output tuple at k fixed distinct points occurs exactly once
-    across all |F|^k polynomials."""
+    across all |F|^k polynomials; a family of k > |F| has no k distinct
+    points and is refused."""
     if k > field.order:
-        pytest.skip("k exceeds field size")
+        with pytest.raises(FieldError, match="exceeds field size"):
+            random_polynomial(field, k, random.Random(k))
+        return
     points = range(k)
     seen = {}
     for coeffs in product(range(field.order), repeat=k):
