@@ -40,23 +40,25 @@ def measure_ns_per_value(make_gen: Callable[[], object], values: int,
 
 @dataclass(frozen=True)
 class ExpanderCostSplit:
-    """Per-value decomposition T = inner_share + lookup_share (the batch
-    refill cost over imbalance c, plus d random accesses)."""
+    """Per-value times of an expander stream: the whole stream, the inner
+    stream's share (the batch refill cost over imbalance c), and the gather
+    (d table lookups plus d-1 additions per value), each measured in its
+    own runs."""
 
     total_ns: float
     inner_ns: float
-
-    @property
-    def lookup_ns(self) -> float:
-        return max(0.0, self.total_ns - self.inner_ns)
+    lookup_ns: float
 
 
 def measure_expander_split(make_gen: Callable[[], object], values: int,
                            repetitions: int = 3) -> ExpanderCostSplit:
-    """Total per-value time plus the share spent producing inner values."""
+    """Total per-value time, the share spent producing inner values, and
+    the gather: `graph.row_sums` timed on one refill's own inner values,
+    its median over `repetitions` calls after one warmup call."""
     total = measure_ns_per_value(make_gen, values, repetitions)
     probe = make_gen()
-    m = probe.graph.m
+    graph = probe.graph
+    m = graph.m
     inner_values = (values + probe._block_size - 1) // probe._block_size * m
     inner_values = min(inner_values, probe.inner.descriptor.period)
 
@@ -65,4 +67,13 @@ def measure_expander_split(make_gen: Callable[[], object], values: int,
 
     inner_total = measure_ns_per_value(make_inner, inner_values, repetitions)
     inner_share = inner_total * inner_values / values
-    return ExpanderCostSplit(total_ns=total, inner_ns=inner_share)
+    right = make_inner().emit_batch(m)
+    samples = []
+    for rep in range(1 + repetitions):
+        t0 = time.perf_counter_ns()
+        graph.row_sums(probe.field, right)
+        dt = time.perf_counter_ns() - t0
+        if rep:
+            samples.append(dt / graph.n_left)
+    return ExpanderCostSplit(total_ns=total, inner_ns=inner_share,
+                             lookup_ns=statistics.median(samples))

@@ -3,11 +3,12 @@ oracle, the failure-probability bounds that size the graphs, and the
 (c, m, d) parameter search.
 
 A graph is one padded (c*m, d) uint32 array, in and out, so sampling,
-stacking and validation are array operations.  A generator sums rows with
-`row_sums`, which reads the array once per call, a slab of left vertices at
-a time: each neighbor column of a slab indexes a right table, held in the
-narrowest word its reduction fits, straight from the array.  Size guards
-fire before that array is allocated.
+stacking and validation are array operations.  The array is column-major:
+neighbor column j of left vertices start..stop is one contiguous uint32 run.
+A generator sums rows with `row_sums`, which reads the array once per call,
+a slab of left vertices at a time: each neighbor column of a slab indexes a
+right table, held in the narrowest word its reduction fits, straight from
+the array.  Size guards fire before that array is allocated.
 
 All bound arithmetic runs in log10 space with log-gamma factorials: the
 interesting failure probabilities reach 1e-46, far below what direct floats
@@ -43,8 +44,14 @@ SUBSET_ENUM_BUDGET = 2_000_000
 MAX_GRAPH_ENTRIES = 1 << 27
 
 # Left vertices `row_sums` gathers per slab: its two accumulators take
-# 128-256 KiB, and numpy's intp copy of one neighbor column 128 KiB, at any d.
+# 128-256 KiB, and numpy's intp copy of one contiguous neighbor column
+# 128 KiB, at any d.
 _GATHER_ROWS = 1 << 14
+
+# Left vertices `sample_graph` draws, sorts and pads per slab, in a
+# C-order (rows, d) scratch of 512 KiB at d = 8, before storing them into
+# the column-major graph.
+_SAMPLE_ROWS = 1 << 14
 
 # Most 32-bit words one `_draw_below` round asks the rng for (256 KiB).
 _DRAW_WORDS = 1 << 16
@@ -69,6 +76,9 @@ class BipartiteGraph:
     at index m therefore sums every row without masking.  Each row without
     its pads is exactly the support of the corresponding F_2 matrix row;
     `adjacency` gives the rows as int tuples.
+
+    `edges` is a read-only Fortran-ordered view, so each neighbor column is
+    contiguous; an input in any other order is copied into that order once.
     """
 
     __slots__ = ("c", "m", "d", "edges")
@@ -82,16 +92,18 @@ class BipartiteGraph:
             raise ConfigError("edges must be a (c*m, d) uint32 array")
         if edges.shape != (c * m, d):
             raise ConfigError("adjacency must list every left vertex")
+        edges = np.asfortranarray(edges).view()
         if edges.max() > m:
             raise ConfigError("right index out of range")
         if (edges[:, 0] == m).any():
             raise ConfigError("adjacency rows must have 1..d entries")
         # entries never exceed the pad m, so an entry may equal or exceed its
-        # right neighbor only when that neighbor is a pad
-        a, b = edges[:, :-1], edges[:, 1:]
-        if not ((a < b) | (b == m)).all():
-            raise ConfigError("adjacency rows must be sorted and duplicate-free")
-        edges = edges.view()
+        # right neighbor only when that neighbor is a pad; one pair of
+        # columns at a time, so each temporary holds c*m bools
+        for j in range(d - 1):
+            a, b = edges[:, j], edges[:, j + 1]
+            if not ((a < b) | (b == m)).all():
+                raise ConfigError("adjacency rows must be sorted and duplicate-free")
         edges.flags.writeable = False
         self.c, self.m, self.d, self.edges = c, m, d, edges
 
@@ -121,10 +133,10 @@ class BipartiteGraph:
         reduction fits: uint32 over GF(2^w) with w <= 32 and over GF(p) with
         p < 2^31 (a sum of two residues stays below 2^32), else uint64.
         The left vertices are gathered in slabs of `_GATHER_ROWS`: each of a
-        slab's d neighbor columns indexes the table straight from the edges
-        and is reduced in place, by XOR in characteristic 2, else by an
-        addition and min(s, s - p).  The result is one uint64 array of c*m
-        sums.
+        slab's d neighbor columns, one contiguous run of the column-major
+        edges, indexes the table straight from the graph and is reduced in
+        place, by XOR in characteristic 2, else by an addition and
+        min(s, s - p).  The result is one uint64 array of c*m sums.
         """
         m, d, n = self.m, self.d, self.n_left
         if len(values) != m:
@@ -215,23 +227,29 @@ def sample_graph(c: int, m: int, d: int, rng: random.Random) -> BipartiteGraph:
     rng gives the same graph, and whatever the caller draws next from it
     (an inner seed, the next cascade level) is the same too.
 
-    The (c*m, d) array lives in an anonymous mmap, not on the malloc heap:
-    when glibc frees a chunk malloc had mmapped, it raises its mmap
-    threshold to that chunk's size, so dropping a malloc'd graph of some MiB
-    would move later buffers of that size onto the heap, where their freed
-    space stays in the process.
+    The column-major (c*m, d) array lives in an anonymous mmap, not on the
+    malloc heap: when glibc frees a chunk malloc had mmapped, it raises its
+    mmap threshold to that chunk's size, so dropping a malloc'd graph of some
+    MiB would move later buffers of that size onto the heap, where their
+    freed space stays in the process.  Rows are drawn, sorted, deduplicated
+    and padded `_SAMPLE_ROWS` at a time in a small row-major scratch, and
+    each slab is stored transposed, so no second graph-sized array exists.
     """
     if c < 1 or m < 1 or d < 1:
         raise ConfigError("c, m, d must all be >= 1")
-    n = c * m * d
-    check_graph_size(n)
-    edges = np.frombuffer(mmap.mmap(-1, 4 * n), dtype=np.uint32)
-    _draw_below(rng, m, edges)
-    edges = edges.reshape(c * m, d)
-    edges.sort(axis=1)
-    dup = edges[:, 1:] == edges[:, :-1]
-    edges[:, 1:][dup] = m
-    edges.sort(axis=1)
+    n = c * m
+    check_graph_size(n * d)
+    edges = np.frombuffer(mmap.mmap(-1, 4 * n * d), dtype=np.uint32).reshape(d, n).T
+    scratch = np.empty((min(_SAMPLE_ROWS, n), d), dtype=np.uint32)
+    for start in range(0, n, _SAMPLE_ROWS):
+        stop = min(start + _SAMPLE_ROWS, n)
+        slab = scratch[:stop - start]
+        _draw_below(rng, m, slab.reshape(-1))
+        slab.sort(axis=1)
+        dup = slab[:, 1:] == slab[:, :-1]
+        slab[:, 1:][dup] = m
+        slab.sort(axis=1)
+        edges[start:stop] = slab
     return BipartiteGraph(c, m, d, edges)
 
 

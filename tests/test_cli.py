@@ -403,6 +403,31 @@ def test_bench_csv_schema(capsys):
     assert len(lines) == 5
 
 
+def test_bench_lookup_times_the_gather_on_one_refills_values(capsys, monkeypatch):
+    # --values is one block, so each timed stream refills once; lookup_ns
+    # then times 1 + --reps further row_sums calls of its own (one warmup),
+    # each on the inner values that refill gathers
+    from kgen.expander import BipartiteGraph
+
+    calls = []
+    row_sums = BipartiteGraph.row_sums
+
+    def recording(self, field, values):
+        calls.append(list(values))
+        return row_sums(self, field, values)
+
+    monkeypatch.setattr(BipartiteGraph, "row_sums", recording)
+    code, out, _ = run_cli(
+        ["bench", "--field", "gfp:257", "--k", "2", "--kinds", "expander", "--c", "2",
+         "--m", "16", "--d", "2", "--values", "32", "--reps", "3"], capsys)
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "k,kind,setup_s,ns_per_value,inner_ns,lookup_ns"
+    assert float(row.split(",")[-1]) > 0
+    assert len(calls) == 2 * (1 + 3)
+    assert all(values == calls[0] for values in calls)
+
+
 _GRAPH = ["gen", "--field", "gfp:257", "--k", "2", "--c", "2", "--m", "16", "--d", "2",
           "--entropy", "--count", "4"]
 _EXPANDER = _GRAPH + ["--kind", "expander"]

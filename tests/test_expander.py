@@ -143,6 +143,17 @@ def test_sample_graph_draws_across_small_rounds(monkeypatch):
         _assert_tuple_samplers_draws(c, m, d)
 
 
+@pytest.mark.parametrize("rows", [16, 15, 5, 4],
+                         ids=["below-slab", "one-slab", "whole-slabs", "slabs-plus-remainder"])
+def test_sample_graph_draws_across_slabs(monkeypatch, rows):
+    # 15 left vertices, drawn, sorted and padded `rows` at a time in rounds
+    # of at most 5 words, then stored column-major
+    monkeypatch.setattr(expander, "_SAMPLE_ROWS", rows)
+    monkeypatch.setattr(expander, "_DRAW_WORDS", 5)
+    for c, m, d in ((3, 5, 1), (3, 5, 3), (3, 5, 8), (1, 15, 4)):
+        _assert_tuple_samplers_draws(c, m, d)
+
+
 @pytest.mark.parametrize("words", [5, 1 << 16])
 def test_draw_below_makes_randranges_draws_for_32_bit_m(monkeypatch, words):
     # no graph: these m are beyond the size guard
@@ -166,6 +177,7 @@ def test_sampled_graph_is_mmap_backed_and_shared_by_forks():
     while isinstance(base, np.ndarray):
         base = base.base
     assert isinstance(base.obj, mmap.mmap)  # np.frombuffer's memoryview
+    assert g.edges.flags.f_contiguous  # each neighbor column is one run
     assert not g.edges.flags.writeable
     with pytest.raises(ValueError):
         g.edges[0, 0] = 1
@@ -194,6 +206,35 @@ def test_graph_array_layout():
         BipartiteGraph(1, 3, 3, np.array([[0, 3, 2], [1, 3, 3], [0, 1, 2]], np.uint32))
     with pytest.raises(ValueError):  # index beyond the pad
         BipartiteGraph(1, 3, 3, np.array([[0, 4, 4], [1, 3, 3], [0, 1, 2]], np.uint32))
+
+
+def test_c_ordered_input_gives_the_same_column_major_graph():
+    field = Gfp(2013265921)
+    g = sample_graph(4, 64, 4, random.Random(5))
+    rows = np.ascontiguousarray(g.edges)
+    assert rows.flags.c_contiguous and not rows.flags.f_contiguous
+    h = BipartiteGraph(4, 64, 4, rows)
+    assert h == g
+    assert h.edges.flags.f_contiguous and not h.edges.flags.writeable
+    assert not np.shares_memory(h.edges, rows)  # copied into column order once
+    assert np.shares_memory(BipartiteGraph(4, 64, 4, g.edges).edges, g.edges)
+    values = [field.random_element(random.Random(6)) for _ in range(64)]
+    assert np.array_equal(h.row_sums(field, values), g.row_sums(field, values))
+
+
+def test_graph_validation_temporaries_are_one_column_wide():
+    # checked one pair of neighbor columns at a time, the constructor's
+    # temporaries stay below one (c*m, d-1) bool array, which the whole-array
+    # check made three of
+    c, m, d = 16, 1 << 14, 8
+    g = sample_graph(c, m, d, random.Random(0))
+    tracemalloc.start()
+    try:
+        BipartiteGraph(c, m, d, g.edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c * m * (d - 1)
 
 
 def test_graph_size_guards():
