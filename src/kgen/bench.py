@@ -53,13 +53,14 @@ class ExpanderCostSplit:
 def measure_expander_split(make_gen: Callable[[], object], values: int,
                            repetitions: int = 3) -> ExpanderCostSplit:
     """Total per-value time, the share spent producing inner values, and
-    the gather: `graph.row_sums` timed on one refill's own inner values,
-    its median over `repetitions` calls after one warmup call."""
+    the gather: `graph.row_sums` timed on the uint64 array one refill
+    gathers (the inner stream's `fill(m)`), its median over `repetitions`
+    calls after one warmup call."""
     total = measure_ns_per_value(make_gen, values, repetitions)
     probe = make_gen()
     graph = probe.graph
-    m = graph.m
-    inner_values = (values + probe._block_size - 1) // probe._block_size * m
+    m, block = graph.m, graph.n_left
+    inner_values = (values + block - 1) // block * m
     inner_values = min(inner_values, probe.inner.descriptor.period)
 
     def make_inner():
@@ -67,7 +68,7 @@ def measure_expander_split(make_gen: Callable[[], object], values: int,
 
     inner_total = measure_ns_per_value(make_inner, inner_values, repetitions)
     inner_share = inner_total * inner_values / values
-    right = make_inner().emit_batch(m)
+    right = make_inner().fill(m)
     samples = []
     for rep in range(1 + repetitions):
         t0 = time.perf_counter_ns()

@@ -138,7 +138,7 @@ def cmd_bench(args) -> int:
         if kind == "expander":
             # at most the c*max(m, inner batch) outputs one inner batch feeds
             g = proto.graph
-            cycle = g.c * max(g.m, getattr(proto.inner, "batch_size", 1))
+            cycle = g.c * max(g.m, proto.inner.batch_size)
             split = bench.measure_expander_split(make, min(args.values, period, cycle),
                                                  args.reps)
             cols = f"{split.total_ns:.1f},{split.inner_ns:.1f},{split.lookup_ns:.1f}"

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import mmap
 import random
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -128,8 +129,9 @@ class BipartiteGraph:
     def row_sums(self, field, values) -> np.ndarray:
         """out[x] = field sum of values[y] over the neighbors y of left vertex x.
 
-        `values` are exactly m canonical field elements; they go into a right
-        table with a zero at the pad index, held in the narrowest word the
+        `values` is an array of exactly m canonical field elements (a
+        refill's inner `fill(m)`); they go into a right table with a zero at
+        the pad index, held in the narrowest word the
         reduction fits: uint32 over GF(2^w) with w <= 32 and over GF(p) with
         p < 2^31 (a sum of two residues stays below 2^32), else uint64.
         The left vertices are gathered in slabs of `_GATHER_ROWS`: each of a
@@ -321,7 +323,8 @@ class BoundResult:
     """log10 of a failure-probability upper bound.
 
     log10_delta is the raw union-bound value and may exceed 0 (a vacuous
-    bound); the linear `delta` view clamps to the trivial probability bound 1.
+    bound); the linear `delta` view clamps to the trivial probability bound 1
+    above, and to the smallest normal float below.
     """
 
     log10_delta: float
@@ -330,7 +333,9 @@ class BoundResult:
     def delta(self) -> float:
         if self.log10_delta >= 0.0:
             return 1.0
-        return 10.0 ** self.log10_delta if self.log10_delta > -307 else 0.0
+        # below the float range the smallest normal float still bounds it, so
+        # a sampled generator never declares the exact kinds' zero
+        return max(10.0 ** self.log10_delta, sys.float_info.min)
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:

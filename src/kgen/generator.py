@@ -17,16 +17,20 @@ Four kinds:
 The horner and fft-batch kinds are exact (failure probability zero); the
 sampled kinds declare the union-bound failure probability of their graphs.
 
-fft-batch, expander and cascade share one block cursor (`_BlockStream`):
-a refill computes a whole block as a uint64 array, `fill(n)` hands out
-slices of it, and `emit` and `emit_batch` read from it as Python ints.  An
-fft-batch block over GF(2^w) is the batches one request spans, in one
-bottom-up transform pass (a GF(p) block is one coset); a cascade block is
-the left outputs of one gather per level, where `BipartiteGraph.row_sums`
-gathers a word-sized right table slab by slab of left vertices and reduces
-in place, by XOR over GF(2^w) or modular addition over GF(p).
-`stream_chunks` takes a stream in chunks of 2^16 values, which
-`write_stream` serializes with one `tobytes` each.
+Every kind has `fill(n)`, the next n values as a uint64 array, and that
+array is what layers hand each other; `emit_batch(n)` returns Python ints
+for callers outside the library.  Horner's native form is the Python int
+list of its field's scalar `horner`, which its `fill` turns into an array.
+fft-batch, expander and cascade compute uint64 arrays natively and share
+one block cursor (`_BlockStream`): a refill computes a whole block, `fill`
+hands out slices of it, and `emit` and `emit_batch` read from it as Python
+ints.  An fft-batch block over GF(2^w) is the batches one request spans, in
+one bottom-up transform pass (a GF(p) block is one coset); a cascade block
+is the left outputs of one gather per level: the inner stream's `fill(m)`
+becomes the level-1 right table, and `BipartiteGraph.row_sums` gathers it
+slab by slab of left vertices and reduces in place, by XOR over GF(2^w) or
+modular addition over GF(p).  `stream_chunks` takes a stream in chunks of
+2^16 values, which `write_stream` serializes with one `tobytes` each.
 
 A `GeneratorSpec` names a generator up to its seed, and `build(spec)` is the
 one construction path behind every `kgen` subcommand: it returns a
@@ -128,6 +132,10 @@ class HornerGenerator:
         xs = range(self._pos, self._pos + count)
         self._pos += count
         return self.field.horner(self.seed, xs)
+
+    def fill(self, count: int) -> np.ndarray:
+        """The next `count` values as a uint64 array."""
+        return np.array(self.emit_batch(count), dtype=np.uint64)
 
 
 class _BlockStream:
@@ -265,8 +273,8 @@ class CascadeGenerator(_BlockStream):
     """Chained expander levels g_i(x) = sum of g_{i-1} over the neighbors of
     x in level graph i, where g_0 is the inner stream.
 
-    Each block is one gather per level: the inner stream's next m0 values
-    (m0 the first graph's right size) fill the level-1 right table, and the
+    Each block is one gather per level: the inner stream's `fill(m0)` (m0
+    the first graph's right size) is the level-1 right table, and the
     last level's c*m left outputs are the block.  The inner stream walks the
     blocks of the (virtually) stacked graphs until its period runs out.
     """
@@ -302,8 +310,7 @@ class CascadeGenerator(_BlockStream):
         self.field = field
         self.graphs = graphs
         self.inner = inner
-        self._block_size = graphs[-1].n_left
-        period = inner_period // m0 * self._block_size
+        period = inner_period // m0 * graphs[-1].n_left
         self.descriptor = GeneratorDescriptor(
             self.kind, field, k, period, delta, inner.descriptor.seed_len
         )
@@ -318,7 +325,7 @@ class CascadeGenerator(_BlockStream):
         return gen
 
     def _next_block(self, need: int) -> np.ndarray:
-        values = self.inner.emit_batch(self.graphs[0].m)
+        values = self.inner.fill(self.graphs[0].m)
         for g in self.graphs:
             values = g.row_sums(self.field, values)
         return values
@@ -529,7 +536,9 @@ def stream_chunks(gen, count: int):
     values each; fewer values in all when the period runs out.
 
     Values are taken from `gen.fill` when it has one, else from
-    `gen.emit_batch`; `gen.remaining`, when present, caps the count.
+    `gen.emit_batch`; `gen.remaining`, when present, caps the count.  Every
+    kgen generator has both; the fallbacks serve duck-typed wrappers, such
+    as perfbench's replays, that have only `emit_batch`.
     """
     count = max(0, min(count, getattr(gen, "remaining", count)))
     fill = getattr(gen, "fill", None)

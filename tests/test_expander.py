@@ -493,6 +493,14 @@ def test_cascade_bound_sums_its_levels():
     assert math.isclose(cascade_failure_bound(c, m0, d, k, t).log10_delta, want, rel_tol=1e-12)
 
 
+def test_a_bound_below_the_float_range_declares_a_positive_delta():
+    # log10 about -473.6: 10**log10 underflows, and a zero would read as an
+    # exact kind's delta
+    b = cascade_failure_bound(1, 2**19, 256, 1, 1)
+    assert b.log10_delta < -400
+    assert b.delta > 0
+
+
 def test_rank_failure_bound_table_rows():
     assert rank_failure_bound(64, 2**13, 8, 2**5).log10_delta <= -7
     assert rank_failure_bound(64, 2**18, 8, 2**10).log10_delta <= -12

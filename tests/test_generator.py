@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgen.entropy import spawn_rng
 from kgen.errors import ConfigError, GuardExceeded, PeriodExhausted
 from kgen.expander import BipartiteGraph, sample_graph
 from kgen.fft import CosetDftPlan
@@ -189,19 +190,28 @@ def test_fft_batch_gf2w_nonpow2_k():
         + [gen._gray_shift(1) ^ b for b in range(8)])
 
 
-@pytest.mark.parametrize("spec,k", [("gf2w:8", 8), ("gf2w:8", 5), ("gfp:257", 16),
-                                    ("gfp:9223372036853661697", 4)])
-def test_fft_batch_fill_emit_and_emit_batch_agree(spec, k):
+@pytest.mark.parametrize("make,spec,k", [
+    pytest.param(FftBatchGenerator, "gf2w:8", 8, id="gf2w:8-8"),
+    pytest.param(FftBatchGenerator, "gf2w:8", 5, id="gf2w:8-5"),
+    pytest.param(FftBatchGenerator, "gfp:257", 16, id="gfp:257-16"),
+    pytest.param(FftBatchGenerator, "gfp:9223372036853661697", 4,
+                 id="gfp:9223372036853661697-4"),
+    pytest.param(HornerGenerator, "gfp:13", 3, id="horner-gfp:13-3"),
+])
+def test_fft_batch_fill_emit_and_emit_batch_agree(make, spec, k):
     f = parse_field_spec(spec)
     rng = random.Random(k)
     seed = [f.random_element(rng) for _ in range(k)]
-    a, b, c = (FftBatchGenerator(f, k, seed) for _ in range(3))
+    a, b, c = (make(f, k, seed) for _ in range(3))
+    batch_size = getattr(a, "batch_size", 1)
     n = min(a.descriptor.period, 300)
+    if make is HornerGenerator:  # the whole period, 13 values
+        assert n == a.descriptor.period == 13
     if spec.startswith("gf2w"):  # run to the end of the period
         n = a.descriptor.period
-        assert a.batch_size == 8 and n == 256
+        assert batch_size == 8 and n == 256
     filled = []
-    for size in (1, 7, a.batch_size, 3 * a.batch_size + 1, n):
+    for size in (1, 7, batch_size, 3 * batch_size + 1, n):
         size = min(size, n - len(filled))
         block = a.fill(size)
         assert block.dtype == np.uint64 and len(block) == size
@@ -618,6 +628,35 @@ def test_expander_block_gather_matches_row_sums(spec):
             for y in row:
                 acc = f.add(acc, right[y])
             assert stream[block * c * m + x] == acc
+
+
+@pytest.mark.parametrize("name", ["expander/gfp:257", "cascade/gf2w:8"])
+def test_refill_gathers_the_inner_uint64_array(monkeypatch, name):
+    # every level's row_sums gets a uint64 array, the first one the inner
+    # stream's own fill: an fft-batch inner, and (golden's cascade/gf2w:8)
+    # a two-level cascade over a Horner base
+    seen = []
+    row_sums = BipartiteGraph.row_sums
+
+    def recording(self, field, values):
+        seen.append((type(values), getattr(values, "dtype", None)))
+        return row_sums(self, field, values)
+
+    monkeypatch.setattr(BipartiteGraph, "row_sums", recording)
+    graph_rng = spawn_rng(1, name, "graph")
+    if name.startswith("expander"):
+        gen = build_expander_generator(parse_field_spec("gfp:257"), 2, 2, 16, 2,
+                                       "fft-batch", rng=graph_rng)
+        assert isinstance(gen.inner, FftBatchGenerator)
+        levels = 1
+    else:
+        gen = build_cascade_generator(parse_field_spec("gf2w:8"), 2, 2, 2, 2, "horner",
+                                      rng=graph_rng, m0=64)
+        assert isinstance(gen.inner, HornerGenerator)
+        levels = 2
+    block = gen.graphs[-1].n_left
+    gen.emit_batch(2 * block)
+    assert seen == [(np.ndarray, np.uint64)] * (2 * levels)
 
 
 def test_gfp_row_sums_at_the_top_of_the_range():
