@@ -5,11 +5,14 @@ load-balance experiments.
 Exit codes: 0 success/pass, 1 fail verdict, 2 invalid configuration,
 3 brute-force, rank or size guard exceeded.  A refused command prints
 nothing on stdout: every check runs before the first line is written.
+A command whose reader closes the pipe early (`kgen gen ... | head`)
+stops writing and exits 0 without a word.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -80,13 +83,13 @@ def cmd_gen(args) -> int:
     fh, close = _open_out(args)
     try:
         emitted = write_stream(gen, fh, args.count, header=args.header, fmt=args.format)
-        if emitted < args.count:
-            print(f"period exhausted after {emitted} values", file=sys.stderr)
-            return EXIT_CONFIG
-    finally:
         fh.flush()
+    finally:
         if close:
             fh.close()
+    if emitted < args.count:
+        print(f"period exhausted after {emitted} values", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -206,7 +209,7 @@ def cmd_loadbalance(args) -> int:
     print(f"run,seed,{peaks_header},overflow,bound")
     for i, (seed, run) in enumerate(zip(result.seeds, result.results)):
         peaks = ",".join(str(p) for p in run.per_machine_peak)
-        print(f"{i},{seed},{peaks},{int(bool(run.overflowed))},{run.bound:.6g}")
+        print(f"{i},{seed},{peaks},{int(bool(run.overflowed))},{result.bound:.6g}")
     print(f"# runs={result.runs} overflows={result.overflows} "
           f"frequency={result.frequency:.6g} bound={result.bound:.6g}",
           file=sys.stderr)
@@ -305,6 +308,11 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except BrokenPipeError:
+        # the reader has all it wants; what is still buffered goes to
+        # devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

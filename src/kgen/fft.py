@@ -98,10 +98,10 @@ class AdditiveFftPlan:
                 twists = [1] * (1 << j)
                 for i in range(1, 1 << j):
                     twists[i] = field.mul(twists[i - 1], lam)
-            combos = [0] * (1 << (j - 1))
-            for b in range(1, 1 << (j - 1)):
-                low = b & -b
-                combos[b] = combos[b ^ low] ^ norm[1 + low.bit_length() - 1]
+            # combos[b] is the XOR of norm[1 + i] over the bits i of b
+            combos = [0]
+            for g in norm[1:]:
+                combos += [c ^ g for c in combos]
             self.levels.append(_Level(lam, inv_lam, twists, combos))
             cur = [field.add(field.mul(g, g), g) for g in norm[1:]]
         # the _shift_operands row of shift 0; _shift_units adds the rows of
@@ -268,8 +268,8 @@ class AdditiveFftPlan:
             if self.count_ops:
                 self.op_counts["mul"] += sum(1 for t in tw if t != 1)
         _taylor(c, 0, n)
-        if self.count_ops:
-            self.op_counts["add"] += _taylor_adds(n)
+        if self.count_ops:  # _taylor's XORs: n/2 per halving, log2(n) - 1 of them
+            self.op_counts["add"] += (n >> 1) * (n.bit_length() - 2)
         sigma = mul(shift, shift) ^ shift
         g0 = self._eval(depth + 1, c[0::2], sigma)
         g1 = self._eval(depth + 1, c[1::2], sigma)
@@ -323,15 +323,6 @@ def _taylor_split_map(m: int) -> tuple[np.ndarray, np.ndarray]:
     starts = np.searchsorted(rows, np.arange(m))
     idx.flags.writeable = starts.flags.writeable = False
     return idx, starts
-
-
-def _taylor_adds(n: int) -> int:
-    total = 0
-    while n > 2:
-        total += n >> 1
-        total += _taylor_adds(n >> 1)
-        n >>= 1
-    return total
 
 
 class CosetDftPlan:

@@ -87,6 +87,24 @@ def _check_seed(field, seed, want_len) -> tuple[int, ...]:
     return seed
 
 
+def _next_pow2(n: int) -> int:
+    return 1 << max(0, (n - 1).bit_length())
+
+
+def _poly_period(field, kind: str) -> int:
+    """Period of a horner or fft-batch stream over `field`: |F|, or p-1 for
+    fft-batch over GF(p), whose cosets cover F_p^*."""
+    return field.p - 1 if kind == "fft-batch" and isinstance(field, Gfp) else field.order
+
+
+def _check_k(field, k: int):
+    """The independence a polynomial kind can have: 1 <= k <= |F|."""
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    if k > field.order:
+        raise ConfigError(f"k={k} exceeds field size {field.order}")
+
+
 def _check_count(count: int, remaining: int):
     """Refuse a batch request, before the cursor moves, that is negative or
     runs past the period."""
@@ -104,10 +122,7 @@ class HornerGenerator:
     none."""
 
     def __init__(self, field, k: int, seed):
-        if k < 1:
-            raise ConfigError("k must be >= 1")
-        if k > field.order:
-            raise ConfigError(f"k={k} exceeds field size {field.order}")
+        _check_k(field, k)
         self.field = field
         self.k = k
         self.seed = _check_seed(field, seed, k)
@@ -212,25 +227,17 @@ class FftBatchGenerator(_BlockStream):
     """
 
     def __init__(self, field, k: int, seed):
-        if k < 1:
-            raise ConfigError("k must be >= 1")
-        if k > field.order:
-            raise ConfigError(f"k={k} exceeds field size {field.order}")
+        _check_k(field, k)
         self.field = field
+        self.batch_size = _next_pow2(k)
         if isinstance(field, Gf2w):
-            s = max(0, (k - 1).bit_length())
-            self._plan = AdditiveFftPlan(field, s)
-            period = field.order
+            self._plan = AdditiveFftPlan(field, self.batch_size.bit_length() - 1)
         elif isinstance(field, Gfp):
-            if (field.p - 1) % k != 0:
-                raise ConfigError(f"k={k} does not divide p-1={field.p - 1}")
-            if k & (k - 1):
-                raise ConfigError(f"coset DFT path needs a power-of-two k, got {k}")
+            # the plan refuses a k that is not a power of two dividing p-1
             self._plan = CosetDftPlan(field, k, find_primitive_element(field))
-            period = field.p - 1
         else:
             raise ConfigError(f"unsupported field context {field!r}")
-        self.batch_size = 1 << max(0, (k - 1).bit_length())
+        period = _poly_period(field, "fft-batch")
         self.descriptor = GeneratorDescriptor("fft-batch", field, k, period, 0.0, k)
         self._reseed(seed)
 
@@ -346,29 +353,27 @@ class ExpanderGenerator(CascadeGenerator):
 # Builders
 # --------------------------------------------------------------------------
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
-
-
-def _poly_period(field, kind: str) -> int:
-    """Period of a horner or fft-batch stream over `field`: |F|, or p-1 for
-    fft-batch over GF(p), whose cosets cover F_p^*."""
-    return field.p - 1 if kind == "fft-batch" and isinstance(field, Gfp) else field.order
-
-
-def _make_inner(field, kind: str, k_needed: int, rng: random.Random, seed=None):
-    """Inner generator of the requested kind supplying >= k_needed
-    independence (rounded up to what the kind supports).  A seed left to the
-    rng is drawn lazily, after the generator's own checks."""
-    if kind == "horner":
-        make, k_inner = HornerGenerator, k_needed
-    elif kind == "fft-batch":
-        make, k_inner = FftBatchGenerator, _next_pow2(k_needed)
-    else:
+def _make_inner(field, kind: str, m: int, k_needed: int, seed=None):
+    """The horner or fft-batch stream under a first graph of right size m,
+    which must divide its period, supplying min(k_needed, period)
+    independence (no position subset outgrows the stream), rounded up to a
+    power of two for fft-batch; from `seed`, or from zeros for the caller to
+    fork.  Every refusal of the inner stream comes before any graph."""
+    make = {"horner": HornerGenerator, "fft-batch": FftBatchGenerator}.get(kind)
+    if make is None:
         raise ConfigError(f"unsupported inner kind {kind!r}")
-    if seed is None:
-        seed = (field.random_element(rng) for _ in range(k_inner))
-    return make(field, k_inner, seed)
+    period = _poly_period(field, kind)
+    if period % m:
+        raise ConfigError(f"m={m} must divide the {kind} period {period}")
+    k_inner = min(k_needed, period)
+    if make is FftBatchGenerator:
+        k_inner = _next_pow2(k_inner)
+    return make(field, k_inner, (0,) * k_inner if seed is None else seed)
+
+
+def _draw_seed(gen, rng: random.Random):
+    """`gen` forked with a seed of `rng`'s next seed_len field elements."""
+    return gen.fork([gen.field.random_element(rng) for _ in range(gen.descriptor.seed_len)])
 
 
 def check_positive(**options):
@@ -390,17 +395,20 @@ def build_expander_generator(
     seed=None,
     graph: BipartiteGraph | None = None,
 ) -> ExpanderGenerator:
-    """Sample (or accept) a (c, m, d) graph, compute its failure bound, and
-    compose it with an inner generator of the requested kind."""
+    """Build the inner generator of the requested kind, then sample (or
+    accept) a (c, m, d) graph, compute its failure bound, and compose the
+    two.  Without `seed`, the inner seed is drawn from `rng` after the
+    graph."""
     check_positive(k=k, c=c, m=m, d=d)
     rng = rng or random.Random(0)
+    inner = _make_inner(field, inner_kind, m, d * k, seed)
     if graph is None:
         graph = sample_graph(c, m, d, rng)
     elif (graph.c, graph.m, graph.d) != (c, m, d):
         raise ConfigError("supplied graph does not match (c, m, d)")
+    if seed is None:
+        inner = _draw_seed(inner, rng)
     delta = cascade_failure_bound(c, m, d, k, 1).delta
-    inner = _make_inner(field, inner_kind, min(d * k, _poly_period(field, inner_kind)),
-                        rng, seed)
     return ExpanderGenerator(field, k, graph, inner, delta)
 
 
@@ -421,12 +429,11 @@ def build_cascade_generator(
     the union-bound sum of the level bounds.
     """
     rng = rng or random.Random(0)
-    base_period = _poly_period(field, base_kind)
     if m0 is None:
-        m0 = base_period
+        m0 = _poly_period(field, base_kind)
     check_positive(k=k, c=c, m=m0, d=d, t=t)
     check_graph_size(sum(c ** i * m0 * d for i in range(1, t + 1)), "cascade")
-    base = _make_inner(field, base_kind, min(d ** t * k, base_period), rng)
+    base = _draw_seed(_make_inner(field, base_kind, m0, d ** t * k), rng)
     graphs = [sample_graph(c, c ** (i - 1) * m0, d, rng) for i in range(1, t + 1)]
     return CascadeGenerator(field, k, graphs, base, cascade_failure_bound(c, m0, d, k, t).delta)
 
@@ -458,9 +465,9 @@ def build(spec: GeneratorSpec):
     """The prototype generator of `spec`: every stream of the spec is
     `build(spec).fork(seed)` with `descriptor.seed_len` elements.  The
     prototype's own seed (zeros, or the builder's draw under a graph) is
-    not meant to be emitted.  A missing shape parameter, one the kind does
-    not take, or an m that does not divide the inner period, raises
-    `ConfigError` before any graph is sampled."""
+    not meant to be emitted.  A missing shape parameter, or one the kind
+    does not take, raises `ConfigError`; the builders refuse the rest before
+    any graph is sampled."""
     takes = _SPEC_TAKES.get(spec.kind)
     if takes is None:
         raise ConfigError(f"unknown generator kind {spec.kind!r}")
@@ -475,11 +482,6 @@ def build(spec: GeneratorSpec):
         return HornerGenerator(field, k, (0,) * k)
     if spec.kind == "fft-batch":
         return FftBatchGenerator(field, k, (0,) * k)
-    period = _poly_period(field, spec.inner)
-    if spec.m is not None:
-        check_positive(m=spec.m)
-        if period % spec.m:
-            raise ConfigError(f"--m={spec.m} must divide the {spec.inner} period {period}")
     rng = spawn_rng(spec.graph_seed, "graph")
     if spec.kind == "expander":
         return build_expander_generator(field, k, spec.c, spec.m, spec.d,

@@ -29,7 +29,6 @@ class SimulationResult:
     per_machine_peak: tuple[int, ...]
     global_peak: int
     overflowed: bool | None  # vs capacity b when given
-    bound: float | None = None
 
 
 def assign(tasks: Sequence[Task], m: int, gen) -> list[int]:
@@ -66,8 +65,7 @@ def _endpoint_order(tasks: Sequence[Task]) -> list[tuple[float, int, int]]:
     return events
 
 
-def _simulate(events, assignment: Sequence[int], m: int, b: int | None,
-              bound: float | None = None) -> SimulationResult:
+def _simulate(events, assignment: Sequence[int], m: int, b: int | None) -> SimulationResult:
     """peak_loads over endpoints already in sweep order (_endpoint_order)."""
     if 2 * len(assignment) != len(events):
         raise ConfigError("one machine index per task required")
@@ -86,7 +84,6 @@ def _simulate(events, assignment: Sequence[int], m: int, b: int | None,
         per_machine_peak=tuple(peaks),
         global_peak=global_peak,
         overflowed=None if b is None else global_peak > b,
-        bound=bound,
     )
 
 
@@ -162,7 +159,7 @@ def run_experiment(
     for _ in range(repetitions):
         seed = rng.getrandbits(63)
         gen = make_generator(seed)
-        result = _simulate(events, assign(tasks, m, gen), m, b, bound)
+        result = _simulate(events, assign(tasks, m, gen), m, b)
         overflows += bool(result.overflowed)
         if keep_results:
             kept.append(result)

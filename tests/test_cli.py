@@ -511,17 +511,26 @@ def test_shape_option_a_kind_ignores_is_refused(argv, name, capsys, monkeypatch)
 
 def test_additive_fft_lane_table_guard(capsys, monkeypatch):
     # 2^18 points over GF(2^64) would take 1 GiB of lane tables; refused
-    # (exit 3) before any level is built
+    # (exit 3) before any level is built.  The expander's inner stream is
+    # 8 * 32768 = 2^18-independent, and its 512 MiB graph is never drawn.
+    import kgen.generator
     from kgen.field import Gf2w
 
     def no_levels(*args):
         raise AssertionError("field arithmetic ran before the lane-table guard")
 
+    def no_sampling(*args):
+        raise AssertionError("graph sampled before the inner stream was checked")
+
     monkeypatch.setattr(Gf2w, "inv", no_levels)
-    code, out, err = run_cli(["gen", "--field", "gf2w:64", "--kind", "fft-batch",
-                              "--k", "262144", "--entropy", "--count", "1"], capsys)
-    assert code == 3 and out == ""
-    assert "1024 MiB of lane tables; the cap is 512 MiB" in err
+    monkeypatch.setattr(kgen.generator, "sample_graph", no_sampling)
+    for shape in (["--kind", "fft-batch", "--k", "262144"],
+                  ["--kind", "expander", "--k", "32768", "--c", "16", "--m", "1048576",
+                   "--d", "8"]):
+        code, out, err = run_cli(["gen", "--field", "gf2w:64", *shape, "--entropy",
+                                  "--count", "1"], capsys)
+        assert code == 3 and out == ""
+        assert "1024 MiB of lane tables; the cap is 512 MiB" in err
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -566,6 +575,24 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["00ab", "00ab"]
+
+
+@pytest.mark.parametrize("argv,first", [
+    (["gen", "--field", "gf2w:32", "--kind", "fft-batch", "--k", "4",
+      "--seed", "00000001000000020000000300000004", "--count", "2000000", "--format", "hex"],
+     b"00000001\n"),
+    (_LOADBALANCE + ["--m-machines", "2", "--b", "64", "--reps", "5000"],
+     b"run,seed,peak_0,peak_1,overflow,bound\n"),
+], ids=["gen", "loadbalance"])
+def test_command_stops_quietly_when_the_reader_closes(argv, first):
+    # `kgen gen ... | head -1`: no traceback, exit 0
+    proc = subprocess.Popen([sys.executable, "-m", "kgen", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == first
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0, err
+    assert err == b""
 
 
 def test_cli_import_leaves_scipy_out():

@@ -398,9 +398,16 @@ def test_expander_period_and_delta_contract():
     assert gen.descriptor.delta == rank_failure_bound(4, 8, 2, 2).delta
 
 
-def test_expander_m_must_divide_inner_period():
+def test_expander_m_must_divide_inner_period(monkeypatch):
+    # refused before any graph is drawn
+    import kgen.generator
+
+    def no_sampling(*args):
+        raise AssertionError("graph sampled before the inner period was checked")
+
+    monkeypatch.setattr(kgen.generator, "sample_graph", no_sampling)
     f = Gf2w(4)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="m=5 must divide the horner period 16"):
         build_expander_generator(f, 2, 2, 5, 2, inner_kind="horner",
                                  rng=random.Random(0))
 

@@ -2,10 +2,14 @@
 family: the bit-identical invariant every refactor of the stream paths
 keeps.  The configurations and hashes are those of perfbench/golden.py
 (default workload seed 1); a changed hash means kgen's output changed.
+The benchmark's own self-test runs here too, as a subprocess.
 """
 
 import hashlib
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +80,14 @@ def small_stream(name: str, seed: int = 1) -> bytes:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stream_hash_pinned(name):
     assert hashlib.sha256(small_stream(name)).hexdigest() == GOLDEN[name][3]
+
+
+def test_perfbench_self_test_passes():
+    # the benchmark's own tiny-scale run: its golden streams, the builder
+    # keywords and layer probes it calls, and its fault gates (about 5 s, no
+    # files written); a change that breaks what the benchmark reaches fails here
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--self-test"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "self-test passed" in proc.stdout
