@@ -54,7 +54,8 @@ _GATHER_ROWS = 1 << 14
 # the column-major graph.
 _SAMPLE_ROWS = 1 << 14
 
-# Most 32-bit words one `_draw_below` round asks the rng for (256 KiB).
+# Most 32-bit words one `_draw_below` round asks the bit generator for
+# (512 KiB, as numpy hands them back in uint64).
 _DRAW_WORDS = 1 << 16
 
 
@@ -195,29 +196,52 @@ class _Rows(Sequence):
         return tuple(row[:row.index(self._m)] if row[-1] == self._m else row)
 
 
+def _mersenne_state(rng: random.Random) -> tuple:
+    """`rng.getstate()`, for a random.Random that runs CPython's Mersenne
+    Twister; any other rng (random.SystemRandom, say) has no such state to
+    continue, and is refused with ConfigError."""
+    if not isinstance(rng, random.Random) or isinstance(rng, random.SystemRandom):
+        raise ConfigError(
+            f"graph sampling needs a random.Random with CPython's Mersenne-Twister "
+            f"state (getstate/setstate), got {type(rng).__name__}"
+        )
+    return rng.getstate()
+
+
 def _draw_below(rng: random.Random, m: int, out: np.ndarray) -> None:
     """Fill the flat uint32 array `out` with `[rng.randrange(m) for _ in out]`,
     and leave `rng` where those calls would, for 1 <= m < 2^32.
 
     CPython's randrange(m) takes one 32-bit Mersenne-Twister word w per
-    attempt and keeps w >> (32 - m.bit_length()) if it is below m.
-    `getrandbits(32 * W)` holds the next W such words, least significant
-    first, so each round draws as many words as draws are still missing
-    (at most `_DRAW_WORDS`), shifts them and keeps those below m.  Every
-    draw takes at least one word, so a round never takes a word the
-    sequential calls would not.
+    attempt and keeps w >> (32 - m.bit_length()) if it is below m.  numpy's
+    MT19937, loaded with rng's 624-word key and position, makes the same
+    words: each round draws as many as draws are still missing (at most
+    `_DRAW_WORDS`), shifts them and keeps those below m.  Every draw takes
+    at least one word, so a round never takes a word the sequential calls
+    would not.  The advanced key and position go back into rng, beside its
+    own `gauss_next`.  numpy.random is imported here, so a process that
+    samples no graph never loads it.
     """
     if not 1 <= m < 1 << 32:
         raise ValueError(f"_draw_below needs 1 <= m < 2^32, got {m}")
-    shift = np.uint32(32 - m.bit_length())
+    from numpy.random import MT19937
+
+    version, internal, gauss_next = _mersenne_state(rng)
+    bitgen = MT19937(0)  # seeded only to be overwritten: 0 reads no OS entropy
+    # the key as rng's tuple: numpy copies it word by word, and a tuple's
+    # words are read several times faster than an array's
+    bitgen.state = {"bit_generator": "MT19937",
+                    "state": {"key": internal[:-1], "pos": internal[-1]}}
+    shift = np.uint64(32 - m.bit_length())
     n, filled = len(out), 0
     while filled < n:
-        want = min(n - filled, _DRAW_WORDS)
-        raw = rng.getrandbits(32 * want).to_bytes(4 * want, "little")
-        words = np.frombuffer(raw, dtype="<u4") >> shift
-        kept = words[words < m]
+        words = bitgen.random_raw(min(n - filled, _DRAW_WORDS))
+        words >>= shift
+        kept = np.compress(words < m, words)
         out[filled:filled + len(kept)] = kept
         filled += len(kept)
+    state = bitgen.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
 
 
 def sample_graph(c: int, m: int, d: int, rng: random.Random) -> BipartiteGraph:
@@ -225,9 +249,12 @@ def sample_graph(c: int, m: int, d: int, rng: random.Random) -> BipartiteGraph:
 
     The draws are exactly `rng.randrange(m)` made c*m*d times, row after row
     in the order the row-tuple sampler made them, and `rng` is left in the
-    state those calls leave; `_draw_below` makes them in bulk.  So a seeded
-    rng gives the same graph, and whatever the caller draws next from it
-    (an inner seed, the next cascade level) is the same too.
+    state those calls leave; `_draw_below` makes them in bulk from numpy's
+    MT19937, continuing rng's own Mersenne-Twister state.  So a seeded rng
+    gives the same graph, and whatever the caller draws next from it (an
+    inner seed, the next cascade level) is the same too.  An rng without
+    that state (random.SystemRandom) is refused with ConfigError before
+    anything is allocated.
 
     The column-major (c*m, d) array lives in an anonymous mmap, not on the
     malloc heap: when glibc frees a chunk malloc had mmapped, it raises its
@@ -241,15 +268,16 @@ def sample_graph(c: int, m: int, d: int, rng: random.Random) -> BipartiteGraph:
         raise ConfigError("c, m, d must all be >= 1")
     n = c * m
     check_graph_size(n * d)
+    _mersenne_state(rng)  # refused before the graph is allocated
     edges = np.frombuffer(mmap.mmap(-1, 4 * n * d), dtype=np.uint32).reshape(d, n).T
     scratch = np.empty((min(_SAMPLE_ROWS, n), d), dtype=np.uint32)
+    pad = np.uint32(m)
     for start in range(0, n, _SAMPLE_ROWS):
         stop = min(start + _SAMPLE_ROWS, n)
         slab = scratch[:stop - start]
         _draw_below(rng, m, slab.reshape(-1))
         slab.sort(axis=1)
-        dup = slab[:, 1:] == slab[:, :-1]
-        slab[:, 1:][dup] = m
+        np.copyto(slab[:, 1:], pad, where=slab[:, 1:] == slab[:, :-1])
         slab.sort(axis=1)
         edges[start:stop] = slab
     return BipartiteGraph(c, m, d, edges)

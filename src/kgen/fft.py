@@ -331,8 +331,9 @@ class CosetDftPlan:
     k must be a power of two dividing p-1.  The plan owns a coset cursor
     (index j and the running twist omega^j); advancing past the last coset
     raises PeriodExhausted.  Twiddle factors (k/2 powers of omega_k) are
-    precomputed once and shared by all cosets, and by the plans `fork`
-    returns.
+    computed once and shared by all cosets, and by the plans `fork`
+    returns: the vector transform's uint64 array at construction (p < 2^32),
+    the scalar `dft`'s int list and bit-reversal table at its first call.
     """
 
     def __init__(self, field: Gfp, k: int, omega: int):
@@ -356,20 +357,28 @@ class CosetDftPlan:
         self.num_cosets = (p - 1) // k
         self.j = 0
         self.twist_base = 1  # omega^j for the current coset
-        half = k >> 1
-        tw = [1] * max(half, 1)
-        for i in range(1, half):
-            tw[i] = field.mul(tw[i - 1], omega_k)
-        self._twiddles = tw
-        self._rev = _bit_reversal(k)
         self._vec_twiddles = None
         if p < 1 << 32:
-            vtw = np.array(tw, dtype=np.uint64)
+            vtw = _powers_mod(omega_k, p, max(k >> 1, 1))
             self._vec_twiddles = (vtw, (vtw << np.uint64(32)) // np.uint64(p))
+
+    @functools.cached_property
+    def _twiddles(self) -> list[int]:
+        """The scalar dft's k/2 powers of omega_k, built at its first call."""
+        tw = [1] * max(self.k >> 1, 1)
+        for i in range(1, self.k >> 1):
+            tw[i] = self.field.mul(tw[i - 1], self.omega_k)
+        return tw
+
+    @functools.cached_property
+    def _rev(self) -> list[int]:
+        """The scalar dft's bit-reversal table, built at its first call."""
+        return _bit_reversal(self.k)
 
     def fork(self) -> "CosetDftPlan":
         """A plan at coset 0 sharing this plan's immutable tables (twiddles,
-        their Shoup quotients, the bit-reversal table)."""
+        their Shoup quotients, and the scalar dft's twiddle and bit-reversal
+        tables once a scalar dft has built them)."""
         plan = copy.copy(self)
         plan.j = 0
         plan.twist_base = 1
@@ -442,14 +451,7 @@ class CosetDftPlan:
             return np.array(self.evaluate_coset(coeffs.tolist()), dtype=np.uint64)
         tw, tw_q = self._vec_twiddles
         P = np.uint64(p)
-        twist = np.empty(k, dtype=np.uint64)
-        twist[0] = 1
-        n, step = 1, self.twist_base
-        while n < k:
-            np.multiply(twist[:n], np.uint64(step), out=twist[n:2 * n])
-            twist[n:2 * n] %= P
-            n, step = 2 * n, step * step % p
-        a = coeffs * twist
+        a = coeffs * _powers_mod(self.twist_base, p, k)
         a %= P
 
         def butterflies(even, odd, f, f_q, lo, hi):
@@ -487,6 +489,20 @@ class CosetDftPlan:
             )
         self.j += 1
         self.twist_base = self.field.mul(self.twist_base, self.omega)
+
+
+def _powers_mod(base: int, p: int, n: int) -> np.ndarray:
+    """base^i mod p for i < n, a power of two, as a uint64 array, for
+    p < 2^32: built by doubling, each product of two residues below 2^64."""
+    out = np.empty(n, dtype=np.uint64)
+    out[0] = 1
+    P = np.uint64(p)
+    size = 1
+    while size < n:
+        np.multiply(out[:size], np.uint64(base), out=out[size:2 * size])
+        out[size:2 * size] %= P
+        size, base = 2 * size, base * base % p
+    return out
 
 
 def _bit_reversal(n: int) -> list[int]:

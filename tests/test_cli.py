@@ -612,3 +612,22 @@ def test_verify_runs_without_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("verdict=exact-pass k=4 positions=70 ")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["--field", "gf2w:64", "--kind", "fft-batch", "--k", "256"], False),
+    (["--field", "gf2w:16", "--kind", "fft-batch", "--k", "128"], False),
+    (["--field", "gfp:13", "--kind", "horner", "--k", "3"], False),
+    (["--field", "gfp:2013265921", "--kind", "expander", "--k", "64", "--c", "4",
+      "--m", "1024", "--d", "4", "--inner", "fft-batch"], True),
+], ids=["fft-batch-gf2w64", "fft-batch-gf2w16", "horner", "expander"])
+def test_numpy_random_is_loaded_only_by_graph_sampling(argv, loaded):
+    # its import costs start-up time and resident memory, so a generator
+    # without a graph never pays it
+    code = ("import sys; from kgen.cli import main; "
+            f"code = main(['gen', *{argv!r}, '--entropy', '--count', '1', "
+            "'--format', 'bin', '--out', '-']); "
+            "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.decode().strip() == str(loaded)

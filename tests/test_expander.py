@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kgen import expander
-from kgen.errors import GuardExceeded
+from kgen.errors import ConfigError, GuardExceeded
 from kgen.expander import (
     MAX_GRAPH_ENTRIES,
     BipartiteGraph,
@@ -167,6 +167,71 @@ def test_draw_below_makes_randranges_draws_for_32_bit_m(monkeypatch, words):
     for m in (0, 1 << 32):  # 2^32 takes two words per randrange attempt
         with pytest.raises(ValueError):
             expander._draw_below(random.Random(0), m, out)
+
+
+def _advanced(seed, words, gauss=False):
+    """A seeded rng past `words` 32-bit words, and, with `gauss`, holding
+    the second normal of a gauss() pair in gauss_next."""
+    rng = random.Random(seed)
+    for _ in range(words):
+        rng.getrandbits(32)
+    if gauss:
+        rng.gauss(0.0, 1.0)
+    return rng
+
+
+@pytest.mark.parametrize("words,gauss", [(0, False), (1, False), (300, False),
+                                         (623, False), (624, False), (300, True)],
+                         ids=["fresh", "one-in", "mid-block", "block-end",
+                              "next-block", "gauss-next"])
+def test_draw_below_continues_the_rngs_own_state(words, gauss):
+    # part-way through the 624-word block, and with gauss_next set: the
+    # draws are randrange's, and the rng goes on as randrange leaves it
+    for m in (1, 5, 1 << 13, (1 << 13) + 1, (1 << 32) - 1):
+        rng, ref = _advanced(m, words, gauss), _advanced(m, words, gauss)
+        assert (rng.getstate()[2] is not None) == gauss
+        out = np.empty(1500, dtype=np.uint32)  # crosses a block boundary
+        expander._draw_below(rng, m, out)
+        assert out.tolist() == [ref.randrange(m) for _ in range(1500)]
+        assert rng.getstate() == ref.getstate()
+        assert rng.gauss(0.0, 1.0) == ref.gauss(0.0, 1.0)
+        assert rng.getrandbits(64) == ref.getrandbits(64)
+
+
+def test_draw_rounds_ask_for_at_most_draw_words(monkeypatch):
+    # each round's uint64 words stay within _DRAW_WORDS * 8 bytes = 512 KiB
+    import numpy.random
+
+    requests = []
+
+    # named as numpy's class, since the state setter checks the name
+    class MT19937(numpy.random.MT19937):
+        def random_raw(self, size=None, output=True):
+            requests.append(size)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(numpy.random, "MT19937", MT19937)
+    assert expander._DRAW_WORDS * 8 == 512 * 1024
+    _assert_tuple_samplers_draws(2, 1 << 13, 8)  # 2^17 draws a slab
+    rng = random.Random(1)
+    expander._draw_below(rng, 5, np.empty(3 * expander._DRAW_WORDS + 7, dtype=np.uint32))
+    assert requests and max(requests) <= expander._DRAW_WORDS
+    assert requests[-1] < expander._DRAW_WORDS  # the last rounds ask for what is missing
+
+
+@pytest.mark.parametrize("rng", [random.SystemRandom(), np.random.default_rng(0)],
+                         ids=["SystemRandom", "numpy-Generator"])
+def test_sample_graph_refuses_an_rng_without_mersenne_state(monkeypatch, rng):
+    def no_mmap(*args):
+        raise AssertionError("the graph was allocated before the rng was checked")
+
+    monkeypatch.setattr(expander.mmap, "mmap", no_mmap)
+    with pytest.raises(ConfigError, match="Mersenne-Twister state"):
+        sample_graph(2, 8, 3, rng)
+    with pytest.raises(ConfigError, match="Mersenne-Twister state"):
+        build_expander_generator(Gfp(2013265921), 4, 4, 64, 4, rng=rng)
+    with pytest.raises(ConfigError, match="Mersenne-Twister state"):
+        expander._draw_below(rng, 8, np.empty(4, dtype=np.uint32))
 
 
 def test_sampled_graph_is_mmap_backed_and_shared_by_forks():

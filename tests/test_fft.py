@@ -307,6 +307,7 @@ def test_coset_dft_vec_matches_scalar_and_naive(p):
 def test_coset_plan_fork_shares_tables_not_cursor():
     f = Gfp(2013265921)
     plan = CosetDftPlan(f, 64, find_primitive_element(f))
+    plan.dft([0] * 64)  # builds the scalar tables, which forks then share
     plan.advance_coset()
     twin = plan.fork()
     assert (twin.j, twin.twist_base) == (0, 1) and (plan.j, plan.twist_base) != (0, 1)
@@ -317,6 +318,21 @@ def test_coset_plan_fork_shares_tables_not_cursor():
     assert (plan.j, twin.j) == (1, 1)
     coeffs = np.arange(64, dtype=np.uint64)
     assert twin.evaluate_coset_vec(coeffs).tolist() == plan.evaluate_coset_vec(coeffs).tolist()
+
+
+@pytest.mark.parametrize("p", [257, 2013265921, 4293918721])
+def test_coset_plan_builds_vector_twiddles_only(p):
+    # the doubled vector twiddles equal the scalar recurrence's, and the
+    # scalar dft's tables wait for its first call
+    f = Gfp(p)
+    omega = find_primitive_element(f)
+    for k in (1, 2, 4, 64, 256):
+        plan = CosetDftPlan(f, k, omega)
+        assert "_twiddles" not in vars(plan) and "_rev" not in vars(plan)
+        tw, tw_q = plan._vec_twiddles
+        assert tw.tolist() == plan._twiddles
+        assert tw_q.tolist() == [(t << 32) // p for t in plan._twiddles]
+        assert len(plan._rev) == k
 
 
 def test_coset_dft_vec_rejections():
