@@ -428,6 +428,23 @@ def test_bench_lookup_times_the_gather_on_one_refills_values(capsys, monkeypatch
     assert all(values == calls[0] for values in calls)
 
 
+def test_bench_loads_numpy_random_before_the_timed_builds():
+    # the import, paid once per process at the first graph, would otherwise
+    # be timed as the first expander row's setup_s
+    code = ("import sys, kgen.cli as cli; seen = []; real = cli.build\n"
+            "def build(spec):\n"
+            "    seen.append('numpy.random' in sys.modules)\n"
+            "    return real(spec)\n"
+            "cli.build = build\n"
+            "code = cli.main(['bench', '--field', 'gfp:257', '--k', '2,4', '--kinds', "
+            "'horner,expander', '--c', '2', '--m', '16', '--d', '2', '--values', '32', "
+            "'--reps', '1'])\n"
+            "print(seen, file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.decode().strip() == str([True] * 4)
+
+
 _GRAPH = ["gen", "--field", "gfp:257", "--k", "2", "--c", "2", "--m", "16", "--d", "2",
           "--entropy", "--count", "4"]
 _EXPANDER = _GRAPH + ["--kind", "expander"]

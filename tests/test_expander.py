@@ -154,6 +154,14 @@ def test_sample_graph_draws_across_slabs(monkeypatch, rows):
         _assert_tuple_samplers_draws(c, m, d)
 
 
+def draw_below(rng, m, out):
+    """`_draw_below` on a generator loaded from rng, whose advanced state
+    goes back into rng, as `sample_graph` makes one for a whole graph."""
+    gen, save = expander._mersenne_generator(rng)
+    expander._draw_below(gen, m, out)
+    save()
+
+
 @pytest.mark.parametrize("words", [5, 1 << 16])
 def test_draw_below_makes_randranges_draws_for_32_bit_m(monkeypatch, words):
     # no graph: these m are beyond the size guard
@@ -161,12 +169,12 @@ def test_draw_below_makes_randranges_draws_for_32_bit_m(monkeypatch, words):
     for m in ((1 << 31) + 5, (1 << 32) - 2, (1 << 32) - 1):
         rng, ref = random.Random(m), random.Random(m)
         out = np.empty(999, dtype=np.uint32)  # not a whole number of rounds
-        expander._draw_below(rng, m, out)
+        draw_below(rng, m, out)
         assert out.tolist() == [ref.randrange(m) for _ in range(999)]
         assert rng.getstate() == ref.getstate()
     for m in (0, 1 << 32):  # 2^32 takes two words per randrange attempt
         with pytest.raises(ValueError):
-            expander._draw_below(random.Random(0), m, out)
+            draw_below(random.Random(0), m, out)
 
 
 def _advanced(seed, words, gauss=False):
@@ -191,7 +199,7 @@ def test_draw_below_continues_the_rngs_own_state(words, gauss):
         rng, ref = _advanced(m, words, gauss), _advanced(m, words, gauss)
         assert (rng.getstate()[2] is not None) == gauss
         out = np.empty(1500, dtype=np.uint32)  # crosses a block boundary
-        expander._draw_below(rng, m, out)
+        draw_below(rng, m, out)
         assert out.tolist() == [ref.randrange(m) for _ in range(1500)]
         assert rng.getstate() == ref.getstate()
         assert rng.gauss(0.0, 1.0) == ref.gauss(0.0, 1.0)
@@ -199,24 +207,66 @@ def test_draw_below_continues_the_rngs_own_state(words, gauss):
 
 
 def test_draw_rounds_ask_for_at_most_draw_words(monkeypatch):
-    # each round's uint64 words stay within _DRAW_WORDS * 8 bytes = 512 KiB
+    # each round's uint32 words stay within _DRAW_WORDS * 4 bytes <= 512 KiB
     import numpy.random
 
     requests = []
 
-    # named as numpy's class, since the state setter checks the name
-    class MT19937(numpy.random.MT19937):
-        def random_raw(self, size=None, output=True):
-            requests.append(size)
-            return super().random_raw(size, output)
+    class Generator(numpy.random.Generator):
+        def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+            requests.append((size, np.dtype(dtype).itemsize))
+            return super().integers(low, high, size, dtype, endpoint)
 
-    monkeypatch.setattr(numpy.random, "MT19937", MT19937)
-    assert expander._DRAW_WORDS * 8 == 512 * 1024
+    monkeypatch.setattr(numpy.random, "Generator", Generator)
     _assert_tuple_samplers_draws(2, 1 << 13, 8)  # 2^17 draws a slab
     rng = random.Random(1)
-    expander._draw_below(rng, 5, np.empty(3 * expander._DRAW_WORDS + 7, dtype=np.uint32))
-    assert requests and max(requests) <= expander._DRAW_WORDS
-    assert requests[-1] < expander._DRAW_WORDS  # the last rounds ask for what is missing
+    draw_below(rng, 5, np.empty(3 * expander._DRAW_WORDS + 7, dtype=np.uint32))
+    sizes = [size for size, _ in requests]
+    assert max(size * width for size, width in requests) <= 512 * 1024
+    assert sizes and max(sizes) <= expander._DRAW_WORDS
+    assert sizes[-1] < expander._DRAW_WORDS  # the last rounds ask for what is missing
+
+
+def test_sample_graph_loads_one_bit_generator_per_graph(monkeypatch):
+    # one MT19937 per graph, not one per slab: 15 rows in slabs of 4
+    import numpy.random
+
+    constructed = []
+
+    # named as numpy's class, since the state setter checks the name
+    class MT19937(numpy.random.MT19937):
+        def __init__(self, *args, **kwargs):
+            constructed.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(numpy.random, "MT19937", MT19937)
+    monkeypatch.setattr(expander, "_SAMPLE_ROWS", 4)
+    _assert_tuple_samplers_draws(3, 5, 8)
+    assert len(constructed) == 1
+    sample_graph(3, 5, 8, random.Random(2))
+    assert len(constructed) == 2
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_sorting_network_sorts_every_zero_one_row(d):
+    # the 0-1 principle: a comparator network that sorts every row of 0s
+    # and 1s sorts every row
+    rows = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1).astype(np.uint32)
+    network = expander._sorting_network(d)
+    assert all(0 <= i < j < d for i, j in network)
+    columns = [rows[:, j].copy() for j in range(d)]
+    expander._sort_columns(columns, network, np.empty(1 << d, dtype=np.uint32))
+    ones = rows.sum(axis=1)
+    assert (np.stack(columns, axis=1) == (np.arange(d) >= d - ones[:, None])).all()
+
+
+@pytest.mark.parametrize("d", [5, 7, 16, 17])
+def test_sample_graph_sorts_rows_on_both_sides_of_the_network_crossover(monkeypatch, d):
+    # d <= 16 sorts the stored columns by the network, d = 17 sorts the
+    # scratch rows; slabs of 4 rows in rounds of at most 5 words
+    monkeypatch.setattr(expander, "_SAMPLE_ROWS", 4)
+    monkeypatch.setattr(expander, "_DRAW_WORDS", 5)
+    _assert_tuple_samplers_draws(1, (1 << 13) + 1, d)
 
 
 @pytest.mark.parametrize("rng", [random.SystemRandom(), np.random.default_rng(0)],
@@ -231,7 +281,7 @@ def test_sample_graph_refuses_an_rng_without_mersenne_state(monkeypatch, rng):
     with pytest.raises(ConfigError, match="Mersenne-Twister state"):
         build_expander_generator(Gfp(2013265921), 4, 4, 64, 4, rng=rng)
     with pytest.raises(ConfigError, match="Mersenne-Twister state"):
-        expander._draw_below(rng, 8, np.empty(4, dtype=np.uint32))
+        draw_below(rng, 8, np.empty(4, dtype=np.uint32))
 
 
 def test_sampled_graph_is_mmap_backed_and_shared_by_forks():
