@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import statistics
 import sys
 import time
 
@@ -126,18 +127,24 @@ def cmd_bench(args) -> int:
     field = parse_field_spec(args.field)
     check_positive(values=args.values, reps=args.reps)
     kinds = args.kinds.split(",")
-    if "expander" in kinds:
-        # numpy.random is imported at the first graph sampled; loaded here,
-        # its one-time import is not timed as the first expander's set-up
-        import numpy.random  # noqa: F401
-    # every prototype is built, and timed, before the header is printed
+    for kind in kinds:  # a cascade would need a --t that bench does not take
+        if kind not in ("horner", "fft-batch", "expander"):
+            raise ConfigError(f"bench times horner, fft-batch and expander, not {kind!r}")
+    # every prototype is built, and timed, before the header is printed:
+    # setup_s is the median of --reps builds after one untimed warmup build,
+    # which pays the first touch of fresh pages and numpy.random's import
     protos = []
     for k in _need_ks(args.k):
         for kind in kinds:
             shape = dict(c=args.c, m=args.m, d=args.d) if kind == "expander" else {}
-            t0 = time.perf_counter()
-            proto = build(GeneratorSpec(kind, field, k, **shape, graph_seed=args.graph_seed))
-            protos.append((k, kind, proto, time.perf_counter() - t0))
+            spec = GeneratorSpec(kind, field, k, **shape, graph_seed=args.graph_seed)
+            proto = build(spec)
+            times = []
+            for _ in range(args.reps):
+                t0 = time.perf_counter()
+                build(spec)
+                times.append(time.perf_counter() - t0)
+            protos.append((k, kind, proto, statistics.median(times)))
     print("k,kind,setup_s,ns_per_value,inner_ns,lookup_ns")
     for k, kind, proto, setup_s in protos:
         seed = seed_from_int(field, proto.descriptor.seed_len, args.graph_seed)
@@ -214,7 +221,7 @@ def cmd_loadbalance(args) -> int:
     print(f"run,seed,{peaks_header},overflow,bound")
     for i, (seed, run) in enumerate(zip(result.seeds, result.results)):
         peaks = ",".join(str(p) for p in run.per_machine_peak)
-        print(f"{i},{seed},{peaks},{int(bool(run.overflowed))},{result.bound:.6g}")
+        print(f"{i},{seed},{peaks},{int(run.overflowed)},{result.bound:.6g}")
     print(f"# runs={result.runs} overflows={result.overflows} "
           f"frequency={result.frequency:.6g} bound={result.bound:.6g}",
           file=sys.stderr)

@@ -298,11 +298,9 @@ def sample_graph(c: int, m: int, d: int, rng: random.Random) -> BipartiteGraph:
     MiB would move later buffers of that size onto the heap, where their
     freed space stays in the process.  Rows are drawn `_SAMPLE_ROWS` at a
     time into a small row-major scratch and stored transposed, so no second
-    graph-sized array exists.  Up to d = 16 the stored slab's rows are then
-    sorted in place by a comparator network over its contiguous columns,
-    duplicates replaced by the pad m, and sorted again; above that, where
-    the network's d log^2 d comparators cost more than numpy's row sort, the
-    scratch rows are sorted, padded and sorted before the store.
+    graph-sized array exists.  The stored slab's rows are then sorted in
+    place by a comparator network over its contiguous columns, duplicates
+    replaced by the pad m, and sorted again.
     """
     if c < 1 or m < 1 or d < 1:
         raise ConfigError("c, m, d must all be >= 1")
@@ -313,31 +311,22 @@ def sample_graph(c: int, m: int, d: int, rng: random.Random) -> BipartiteGraph:
     rows = min(_SAMPLE_ROWS, n)
     scratch = np.empty((rows, d), dtype=np.uint32)
     pad = np.uint32(m)
-    # per 2^14-row slab, sort + pad + sort by the network against numpy's
-    # row sort (2-core Xeon): 0.41 against 1.30 ms at d = 8, 1.44 against
-    # 1.50 at d = 16, 5.6 against 3.7 at d = 32
-    network = _sorting_network(d) if d <= 16 else None
+    network = _sorting_network(d)
     tmp, same = np.empty(rows, dtype=np.uint32), np.empty(rows, dtype=bool)
     for start in range(0, n, _SAMPLE_ROWS):
         stop = min(start + _SAMPLE_ROWS, n)
         slab = scratch[:stop - start]
         _draw_below(gen, m, slab.reshape(-1))
-        if network is None:  # the scratch rows, before the store
-            slab.sort(axis=1)
-            np.copyto(slab[:, 1:], pad, where=slab[:, 1:] == slab[:, :-1])
-            slab.sort(axis=1)
-            edges[start:stop] = slab
-        else:  # the graph's own columns, after the store
-            edges[start:stop] = slab
-            columns = [edges[start:stop, j] for j in range(d)]
-            t, s = tmp[:stop - start], same[:stop - start]
-            _sort_columns(columns, network, t)
-            # from the right, so each column is compared with its left
-            # neighbor before that neighbor is padded
-            for j in range(d - 1, 0, -1):
-                np.equal(columns[j], columns[j - 1], out=s)
-                np.copyto(columns[j], pad, where=s)
-            _sort_columns(columns, network, t)
+        edges[start:stop] = slab
+        columns = [edges[start:stop, j] for j in range(d)]
+        t, s = tmp[:stop - start], same[:stop - start]
+        _sort_columns(columns, network, t)
+        # from the right, so each column is compared with its left neighbor
+        # before that neighbor is padded
+        for j in range(d - 1, 0, -1):
+            np.equal(columns[j], columns[j - 1], out=s)
+            np.copyto(columns[j], pad, where=s)
+        _sort_columns(columns, network, t)
     save()
     return BipartiteGraph(c, m, d, edges)
 

@@ -28,7 +28,7 @@ class Task:
 class SimulationResult:
     per_machine_peak: tuple[int, ...]
     global_peak: int
-    overflowed: bool | None  # vs capacity b when given
+    overflowed: bool  # global_peak > capacity b
 
 
 def assign(tasks: Sequence[Task], m: int, gen) -> list[int]:
@@ -47,10 +47,10 @@ def assign(tasks: Sequence[Task], m: int, gen) -> list[int]:
 
 
 def peak_loads(tasks: Sequence[Task], assignment: Sequence[int], m: int,
-               b: int | None = None) -> SimulationResult:
+               b: int) -> SimulationResult:
     """Sweep the <= 2t interval endpoints; per machine, the maximum number of
-    simultaneously active tasks.  Half-open intervals: an end and a start at
-    the same time never overlap (ends are processed first)."""
+    simultaneously active tasks, and whether one exceeds capacity b.  Half-open
+    intervals: an end and a start at the same time never overlap (ends first)."""
     return _simulate(_endpoint_order(tasks), assignment, m, b)
 
 
@@ -65,7 +65,7 @@ def _endpoint_order(tasks: Sequence[Task]) -> list[tuple[float, int, int]]:
     return events
 
 
-def _simulate(events, assignment: Sequence[int], m: int, b: int | None) -> SimulationResult:
+def _simulate(events, assignment: Sequence[int], m: int, b: int) -> SimulationResult:
     """peak_loads over endpoints already in sweep order (_endpoint_order)."""
     if 2 * len(assignment) != len(events):
         raise ConfigError("one machine index per task required")
@@ -83,7 +83,7 @@ def _simulate(events, assignment: Sequence[int], m: int, b: int | None) -> Simul
     return SimulationResult(
         per_machine_peak=tuple(peaks),
         global_peak=global_peak,
-        overflowed=None if b is None else global_peak > b,
+        overflowed=global_peak > b,
     )
 
 
@@ -160,7 +160,7 @@ def run_experiment(
         seed = rng.getrandbits(63)
         gen = make_generator(seed)
         result = _simulate(events, assign(tasks, m, gen), m, b)
-        overflows += bool(result.overflowed)
+        overflows += result.overflowed
         if keep_results:
             kept.append(result)
             seeds.append(seed)
@@ -195,10 +195,10 @@ def _check_task_count(t: int):
         raise ConfigError(f"a workload needs at least one task, got t={t}")
 
 
-def burst_workload(t: int, start: float = 0.0, duration: float = 1.0) -> list[Task]:
-    """t identical overlapping tasks: the adversarial same-interval burst."""
+def burst_workload(t: int) -> list[Task]:
+    """t copies of the task [0, 1): the adversarial same-interval burst."""
     _check_task_count(t)
-    return [Task(start, start + duration) for _ in range(t)]
+    return [Task(0.0, 1.0)] * t
 
 
 def poisson_workload(t: int, rate: float, duration: float,

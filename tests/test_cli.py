@@ -1,3 +1,4 @@
+import ast
 import io
 import random
 import subprocess
@@ -368,7 +369,7 @@ def test_loadbalance_seeds_are_k_draws(capsys):
         cells = line.split(",")
         rng = random.Random(int(cells[1]))
         gen = HornerGenerator(f, 8, [f.random_element(rng) for _ in range(8)])
-        want = peak_loads(tasks, assign(tasks, 4, gen), 4).per_machine_peak
+        want = peak_loads(tasks, assign(tasks, 4, gen), 4, 8).per_machine_peak
         assert [int(x) for x in cells[2:6]] == list(want)
 
 
@@ -429,20 +430,34 @@ def test_bench_lookup_times_the_gather_on_one_refills_values(capsys, monkeypatch
 
 
 def test_bench_loads_numpy_random_before_the_timed_builds():
-    # the import, paid once per process at the first graph, would otherwise
-    # be timed as the first expander row's setup_s
-    code = ("import sys, kgen.cli as cli; seen = []; real = cli.build\n"
-            "def build(spec):\n"
-            "    seen.append('numpy.random' in sys.modules)\n"
-            "    return real(spec)\n"
-            "cli.build = build\n"
+    # the first graph a process samples pays numpy.random's import and the
+    # first touch of fresh pages; each row's untimed warmup build takes that,
+    # and setup_s is the median of --reps builds, each between a pair of
+    # clock reads.  The events are logged in order, in a fresh process.
+    code = ("import sys, time, kgen.cli as cli, kgen.generator as g; events = []\n"
+            "def logged(name, real):\n"
+            "    def call(*args):\n"
+            "        events.append(name)\n"
+            "        return real(*args)\n"
+            "    return call\n"
+            "cli.build = logged('build', cli.build)\n"
+            "g.sample_graph = logged('graph', g.sample_graph)\n"
+            "time.perf_counter = logged('clock', time.perf_counter)\n"
             "code = cli.main(['bench', '--field', 'gfp:257', '--k', '2,4', '--kinds', "
             "'horner,expander', '--c', '2', '--m', '16', '--d', '2', '--values', '32', "
-            "'--reps', '1'])\n"
-            "print(seen, file=sys.stderr); sys.exit(code)")
+            "'--reps', '2'])\n"
+            "print(events, file=sys.stderr); sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.decode().strip() == str([True] * 4)
+    events = ast.literal_eval(proc.stderr.decode().strip())
+    builds, clocks = [], 0  # (event index, timed) of each build
+    for i, e in enumerate(events):
+        clocks += e == "clock"
+        if e == "build":
+            builds.append((i, clocks % 2 == 1))
+    assert [timed for _, timed in builds] == [False, True, True] * 4  # 4 rows
+    first_graph = events.index("graph")
+    assert not max(b for b in builds if b[0] < first_graph)[1]
 
 
 _GRAPH = ["gen", "--field", "gfp:257", "--k", "2", "--c", "2", "--m", "16", "--d", "2",
@@ -490,6 +505,7 @@ _BAD_INPUT = {
     # the kinds measured before a refused one print no rows
     "bench-kinds-c-0": _BENCH + ["--kinds", "horner,fft-batch,expander", "--c", "0"],
     "bench-kinds-unknown": _BENCH + ["--kinds", "horner,nosuch"],
+    "bench-kinds-cascade": _BENCH + ["--kinds", "cascade", "--c", "4"],
     "search-k-0-after-32": ["search", "--k", "32,0", "--delta", "1e-7"],
 }
 
@@ -503,6 +519,8 @@ def test_bad_input_exits_config(case, capsys):
     assert code == 2
     assert any(line.startswith("error:") for line in err.splitlines()), err
     assert out == ""
+    if case == "bench-kinds-cascade":  # refused by name, not for a missing --c
+        assert "bench times horner, fft-batch and expander, not 'cascade'" in err
 
 
 @pytest.mark.parametrize("argv,name", [

@@ -247,26 +247,38 @@ def test_sample_graph_loads_one_bit_generator_per_graph(monkeypatch):
     assert len(constructed) == 2
 
 
-@pytest.mark.parametrize("d", range(1, 17))
+@pytest.mark.parametrize("d", range(1, 19))
 def test_sorting_network_sorts_every_zero_one_row(d):
     # the 0-1 principle: a comparator network that sorts every row of 0s
-    # and 1s sorts every row
-    rows = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1).astype(np.uint32)
+    # and 1s sorts every row; bit j of row r is column j, as uint8
+    r = np.arange(1 << d, dtype=np.uint32)
+    columns = [((r >> j) & 1).astype(np.uint8) for j in range(d)]
+    ones = sum(columns)
     network = expander._sorting_network(d)
     assert all(0 <= i < j < d for i, j in network)
-    columns = [rows[:, j].copy() for j in range(d)]
-    expander._sort_columns(columns, network, np.empty(1 << d, dtype=np.uint32))
-    ones = rows.sum(axis=1)
+    expander._sort_columns(columns, network, np.empty(1 << d, dtype=np.uint8))
     assert (np.stack(columns, axis=1) == (np.arange(d) >= d - ones[:, None])).all()
 
 
-@pytest.mark.parametrize("d", [5, 7, 16, 17])
+@pytest.mark.parametrize("d", [24, 32, 33, 64, 256])
+def test_sorting_network_sorts_random_rows_with_ties(d):
+    # draws from [0, d/2), so most rows repeat values
+    rows = np.random.default_rng(d).integers(0, d // 2, size=(256, d), dtype=np.uint32)
+    columns = [rows[:, j].copy() for j in range(d)]
+    expander._sort_columns(columns, expander._sorting_network(d),
+                           np.empty(len(rows), dtype=np.uint32))
+    assert (np.stack(columns, axis=1) == np.sort(rows, axis=1)).all()
+
+
+@pytest.mark.parametrize("d", [5, 7, 16, 17, 32, 33])
 def test_sample_graph_sorts_rows_on_both_sides_of_the_network_crossover(monkeypatch, d):
-    # d <= 16 sorts the stored columns by the network, d = 17 sorts the
-    # scratch rows; slabs of 4 rows in rounds of at most 5 words
+    # the network sorts the stored columns at every d: odd wire counts, and
+    # powers of two with the wire counts just above them; slabs of 4 rows in
+    # rounds of at most 5 words.  From d = 32 on, a network of 191 or more
+    # comparators runs per slab, so those graphs are 16 times smaller.
     monkeypatch.setattr(expander, "_SAMPLE_ROWS", 4)
     monkeypatch.setattr(expander, "_DRAW_WORDS", 5)
-    _assert_tuple_samplers_draws(1, (1 << 13) + 1, d)
+    _assert_tuple_samplers_draws(1, (1 << (13 if d < 32 else 9)) + 1, d)
 
 
 @pytest.mark.parametrize("rng", [random.SystemRandom(), np.random.default_rng(0)],

@@ -63,8 +63,9 @@ def test_assign_full_period_bijective_polynomial_balances_exactly():
 
 def test_peak_loads_trivia():
     disjoint = [Task(0, 1), Task(2, 3), Task(4, 5)]
-    r = peak_loads(disjoint, [0, 0, 0], 2)
+    r = peak_loads(disjoint, [0, 0, 0], 2, b=1)
     assert r.global_peak == 1 and r.per_machine_peak == (1, 0)
+    assert r.overflowed is False
     burst = burst_workload(7)
     r = peak_loads(burst, [1] * 7, 3, b=6)
     assert r.per_machine_peak == (0, 7, 0)
@@ -74,8 +75,8 @@ def test_peak_loads_trivia():
 
 
 def test_peak_loads_half_open_touching():
-    r = peak_loads([Task(0, 1), Task(1, 2)], [0, 0], 1)
-    assert r.global_peak == 1
+    r = peak_loads([Task(0, 1), Task(1, 2)], [0, 0], 1, b=1)
+    assert r.global_peak == 1 and r.overflowed is False
 
 
 def test_peak_loads_matches_dense_grid_oracle():
@@ -86,7 +87,7 @@ def test_peak_loads_matches_dense_grid_oracle():
                  for s in (rng.uniform(0, 10) for _ in range(t))]
         m = rng.randrange(1, 5)
         asg = [rng.randrange(m) for _ in range(t)]
-        got = peak_loads(tasks, asg, m)
+        got = peak_loads(tasks, asg, m, b=t)
         # oracle: sample densely between all endpoints
         marks = sorted({x for tk in tasks for x in (tk.start, tk.end)})
         xs = list(marks)
@@ -121,7 +122,7 @@ def test_run_experiment_rejects_overloaded_workload():
     mk = lambda s: HornerGenerator(
         f, 2, [s & 15, (s >> 4) & 15])
     with pytest.raises(ConfigError) as err:
-        run_experiment(burst_workload(100, start=3.5), 2, 3, 0.5, mk, 2,
+        run_experiment([Task(3.5, 4.5)] * 100, 2, 3, 0.5, mk, 2,
                        random.Random(0))
     assert "x=3.5" in str(err.value)
 
@@ -183,8 +184,8 @@ def test_concurrent_assignments_exactly_uniform_at_tiny_scale():
 
 
 def test_workload_generators():
-    b = burst_workload(5, start=2.0, duration=3.0)
-    assert len(b) == 5 and all(t.start == 2.0 and t.end == 5.0 for t in b)
+    b = burst_workload(5)
+    assert b == [Task(0.0, 1.0)] * 5
     p = poisson_workload(20, 2.0, 1.5, random.Random(3))
     assert len(p) == 20
     assert all(math.isclose(t.end - t.start, 1.5) for t in p)
