@@ -165,9 +165,9 @@ class Gf2w:
     REDUCTION_POLYS[w], for the widths that table lists.
 
     Multiplication is carryless product followed by a sparse-polynomial
-    Barrett-style reduction; for w <= 16 a discrete-log table is additionally
-    built so that products cost three lookups and inverses two.  Both routes
-    are bit-identical.
+    Barrett-style reduction; for 2 <= w <= 16 it is exp[log a + log b] in
+    one read-only pair of arrays, which scalar products read through
+    memoryviews and lanes through `take`.  Both routes are bit-identical.
     Lanes of uint64 arrays multiply by `mul_lanes` with multipliers that
     `lane_multipliers` puts in the field's lane form; the field alone picks
     that form (log tables or nibble tables), and callers only pass it on.
@@ -190,10 +190,10 @@ class Gf2w:
         self.elem_bytes = (w + 7) // 8
         # tail of g (everything below x^w), used by the reduction fold
         self._tail_exps = poly_exps[:-1]
-        self._exp_table: list[int] | None = None
-        self._log_table: list[int] | None = None
         self._exp_vec: np.ndarray | None = None
         self._log_vec: np.ndarray | None = None
+        self._exp: memoryview | None = None
+        self._log: memoryview | None = None
         if w <= _LOG_TABLE_MAX_W and w > 1:
             self._build_log_tables()
 
@@ -220,25 +220,24 @@ class Gf2w:
                 break
         else:  # pragma: no cover - a generator always exists
             raise FieldError("no multiplicative generator found")
-        exp = np.empty(order, dtype=np.uint64)
+        # Products index exp_vec by log_a + log_b; a zero operand has
+        # log 2*order, which lands every sum that involves it in the zeros.
+        exp_vec = np.zeros(4 * order + 1, dtype=np.uint64)
+        exp = exp_vec[:order]
         exp[0] = 1
         n, step = 1, gen
         while n < order:
             take = min(n, order - n)
             exp[n:n + take] = self._mul_nibbles(self.nibble_tables([step]), exp[:take])
             n, step = 2 * n, self.mul(step, step)
-        # Lane products index exp_vec by log_a + log_b; a zero operand has
-        # log 2*order, which lands every sum that involves it in the zeros.
-        exp_vec = np.zeros(4 * order + 1, dtype=np.uint64)
-        exp_vec[:order] = exp
         exp_vec[order:2 * order] = exp
         log_vec = np.empty(self.order, dtype=np.int64)
         log_vec[exp] = np.arange(order)
         log_vec[0] = 2 * order
-        self._exp_vec = exp_vec
-        self._log_vec = log_vec
-        self._exp_table = exp.tolist()
-        self._log_table = log_vec.tolist()
+        exp_vec.flags.writeable = log_vec.flags.writeable = False
+        self._exp_vec, self._log_vec = exp_vec, log_vec
+        # scalar products read the same arrays, an element at a time
+        self._exp, self._log = memoryview(exp_vec), memoryview(log_vec)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -269,11 +268,10 @@ class Gf2w:
         return r & self.mask
 
     def mul(self, a: int, b: int) -> int:
-        exp = self._exp_table
+        exp = self._exp
         if exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return exp[(self._log_table[a] + self._log_table[b]) % self.mult_order]
+            log = self._log
+            return exp[log[a] + log[b]]
         return self.reduce(clmul_wide(a, b))
 
     def horner(self, coeffs, xs) -> list[int]:
@@ -304,10 +302,10 @@ class Gf2w:
     def inv(self, a: int) -> int:
         """a^-1: gen^(-log a) where the field has log tables, else
         `inv_euclid`."""
-        exp = self._exp_table
+        exp = self._exp
         if exp is None or a == 0:
             return self.inv_euclid(a)
-        return exp[-self._log_table[a] % self.mult_order]
+        return exp[self.mult_order - self._log[a]]
 
     def inv_euclid(self, a: int) -> int:
         """Extended Euclid over F_2[x]: u = g1*a and v = g2*a (mod g) hold

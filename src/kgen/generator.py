@@ -245,7 +245,7 @@ class FftBatchGenerator(_BlockStream):
         self.seed = _check_seed(self.field, seed, self.descriptor.k)
         self._coeffs_vec = np.array(self.seed, dtype=np.uint64)
         self._top = None  # the seed's top-down pass, from the first batch on
-        self._next_batch = 0
+        self._next_batch = 0  # GF(2^w) only; over GF(p) the plan holds its coset
         self._start()
 
     def fork(self, seed) -> "FftBatchGenerator":
@@ -256,17 +256,15 @@ class FftBatchGenerator(_BlockStream):
         return gen
 
     def _next_block(self, need: int) -> np.ndarray:
-        j = self._next_batch
         if isinstance(self._plan, AdditiveFftPlan):
             if self._top is None:
                 self._top = self._plan.top_down(self._coeffs_vec)
-            size = self.batch_size
+            j, size = self._next_batch, self.batch_size
             count = min(-(-need // size), max(1, _LANE_CAP // size))
             self._next_batch = j + count
             shifts = [self._gray_shift(i) for i in range(j, j + count)]
             return self._plan.bottom_up(self._top, shifts).reshape(-1)
-        self._next_batch = j + 1
-        if j > 0:
+        if self._emitted:  # the plan is at the coset the last block used
             self._plan.advance_coset()
         return self._plan.evaluate_coset_vec(self._coeffs_vec)
 
@@ -533,6 +531,16 @@ def _words_to_bytes(values: np.ndarray, elem_bytes: int) -> bytes:
     return wide[:, :elem_bytes].tobytes()
 
 
+def _words_to_hex(values: np.ndarray, width: int) -> bytes:
+    """One line per value: its low `width` lowercase hex digits, zero-padded,
+    cut from the 16 digits of its big-endian uint64 bytes."""
+    digits = np.frombuffer(values.astype(">u8").tobytes().hex().encode(), dtype=np.uint8)
+    lines = np.empty((len(values), width + 1), dtype=np.uint8)
+    lines[:, :width] = digits.reshape(-1, 16)[:, 16 - width:]
+    lines[:, width] = ord("\n")
+    return lines.tobytes()
+
+
 def stream_chunks(gen, count: int):
     """The next `count` values of `gen` as uint64 arrays of up to 2^16
     values each; fewer values in all when the period runs out.
@@ -563,7 +571,6 @@ def write_stream(gen, fh, count: int, header: bool = False, fmt: str = "bin"):
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
     elem_bytes = gen.field.elem_bytes
-    width = 2 * elem_bytes
     if header:
         fh.write(gen.descriptor.header_line(gen.seed).encode())
     if fmt == "csv":
@@ -573,8 +580,8 @@ def write_stream(gen, fh, count: int, header: bool = False, fmt: str = "bin"):
         if fmt == "bin":
             data = _words_to_bytes(values, elem_bytes)
         elif fmt == "hex":
-            data = "".join(f"{v:0{width}x}\n" for v in values.tolist()).encode()
-        else:
+            data = _words_to_hex(values, 2 * elem_bytes)
+        else:  # the decimal columns vary in width, so csv formats per value
             data = "".join(f"{i},{v}\n" for i, v in enumerate(values.tolist(), written)).encode()
         fh.write(data)
         written += len(values)

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,12 +124,16 @@ def test_gf2w_reduce_examples():
     assert f.reduce(clmul_portable(0b0010, 0b0010)) == 0b0100
 
 
-@pytest.mark.parametrize("w", [2, 4, 8])
+@pytest.mark.parametrize("w", [2, 4, 8, 16])
 def test_gf2w_mul_exhaustive_vs_oracle(w):
+    # every pair up to w = 8; at w = 16 every pair of a sample with 0, 1, mask
     f = Gf2w(w)
-    for a in range(f.order):
-        for b in range(f.order):
-            assert f.mul(a, b) == longdiv_mod(schoolbook_clmul(a, b), f.g)
+    elems = range(f.order)
+    if w > 8:
+        rng = random.Random(w)
+        elems = [0, 1, f.mask] + [rng.randrange(f.order) for _ in range(97)]
+    for a, b in itertools.product(elems, repeat=2):
+        assert f.mul(a, b) == longdiv_mod(schoolbook_clmul(a, b), f.g), (w, a, b)
 
 
 def test_gf2w_mul_identities():
@@ -191,17 +197,36 @@ def test_gf2w_table_inverse_matches_euclid(w):
         elems = [1, 2, f.mask] + [rng.randrange(1, f.order) for _ in range(2000)]
     for a in elems:
         assert f.inv(a) == f.inv_euclid(a), (w, a)
-    assert (f._exp_table is None) == (w == 1)
+    assert (f._exp_vec is None) == (w == 1)
 
 
 @pytest.mark.parametrize("w", [2, 3, 8, 16])
 def test_log_tables_are_generator_powers(w):
     f = Gf2w(w)
-    exp, log = f._exp_table, f._log_table
-    assert len(exp) == f.mult_order and sorted(exp) == list(range(1, f.order))
+    n = f.mult_order
+    exp, log = f._exp_vec[:n].tolist(), f._log_vec.tolist()
+    assert sorted(exp) == list(range(1, f.order))
     assert exp[1] != 1 and exp[0] == 1
-    assert all(exp[i] == f.reduce(clmul_portable(exp[i - 1], exp[1])) for i in range(1, len(exp)))
+    assert all(exp[i] == f.reduce(clmul_portable(exp[i - 1], exp[1])) for i in range(1, n))
     assert all(exp[log[a]] == a for a in range(1, f.order))
+    # sums of two logs below 2n read a second period; a zero operand's log
+    # 2n sends every sum it is in to the zeros, which reach index 4n
+    assert f._exp_vec[n:2 * n].tolist() == exp and log[0] == 2 * n
+    assert len(f._exp_vec) == 4 * n + 1 and not f._exp_vec[2 * n:].any()
+
+
+def test_gf2w16_holds_one_read_only_table_pair():
+    # 2.5 MiB of arrays; list copies for the scalar products made it 7.2 MiB
+    tracemalloc.start()
+    try:
+        f = Gf2w(16)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 3 << 20
+    for table in (f._exp_vec, f._log_vec):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
 
 
 @pytest.mark.parametrize("w", [1, 2, 8, 16, 24, 48, 64])

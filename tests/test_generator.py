@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 import tracemalloc
 
@@ -14,6 +15,7 @@ from kgen.fft import CosetDftPlan
 from kgen.field import Gf2w, Gfp, parse_field_spec
 from kgen.generator import (
     _LANE_CAP,
+    _WRITE_CHUNK,
     FftBatchGenerator,
     GeneratorDescriptor,
     GeneratorSpec,
@@ -716,6 +718,41 @@ def test_write_stream_three_byte_words():
     buf = io.BytesIO()
     assert write_stream(_small_expander(f, m=16, inner="fft-batch"), buf, 96) == 96
     assert buf.getvalue() == want
+
+
+def _hex_oracle(values, width):
+    """The hex lines, formatted a value at a time."""
+    return "".join(f"{v:0{width}x}\n" for v in values).encode()
+
+
+class _Replay:
+    """A stream of given values in a field, taken through emit_batch."""
+
+    def __init__(self, field, values):
+        self.field, self._values = field, iter(values)
+
+    def emit_batch(self, count):
+        return list(itertools.islice(self._values, count))
+
+
+@pytest.mark.parametrize("spec", ["gf2w:8", "gf2w:16", "gf2w:24", "gf2w:32", "gf2w:48",
+                                  "gf2w:64", "gfp:2013265921"])
+def test_write_stream_hex_matches_fstring_oracle(spec):
+    # every element width (1, 2, 3, 4, 6 and 8 bytes), with 0 and the
+    # largest element on both sides of a chunk boundary
+    field = parse_field_spec(spec)
+    top = field.order - 1
+    rng = random.Random(field.elem_bytes)
+    values = [rng.randrange(field.order) for _ in range(_WRITE_CHUNK + 5)]
+    values[:2] = values[-2:] = [0, top]
+    values[_WRITE_CHUNK - 2:_WRITE_CHUNK + 2] = [0, top, 0, top]
+    buf = io.BytesIO()
+    assert write_stream(_Replay(field, values), buf, len(values), fmt="hex") == len(values)
+    assert buf.getvalue() == _hex_oracle(values, 2 * field.elem_bytes)
+    # a chunk that comes back empty writes nothing
+    buf = io.BytesIO()
+    assert write_stream(_Replay(field, []), buf, 3, fmt="hex") == 0
+    assert buf.getvalue() == b""
 
 
 def test_fill_matches_emit_and_is_read_only():
